@@ -4,7 +4,9 @@ fiber-sum factor conventions.
 Three rules drive the engine: the K3 block contributes 1, each fiber sum
 multiplies by (exp(T) - exp(-T))^2 over the unified class T, and each
 knot surgery multiplies by the knot's Alexander polynomial evaluated at
-exp(2T).  Everything is exact group-ring arithmetic.
+exp(2T).  Each rule multiplies by a polynomial in one class, so the
+engine keeps one factor per class and reads the report off the factors;
+the dense group-ring element is expanded only when asked for.
 """
 
 from fibersum import (
@@ -17,7 +19,9 @@ from fibersum import (
     connected_sum,
     fiber_class_factor,
     fiber_sum_chain,
+    fingerprint,
     knot_surgery,
+    sw_factors,
     sw_first_power_formula,
     sw_report,
     sw_series,
@@ -49,6 +53,16 @@ for cv, coeff in report.basic_pairs:
     print(f"    {str(cv):<28} coefficient {coeff}")
 print("  conjugation-symmetric:",
       check_conjugation_symmetry(series, char_numbers(y)))
+
+# The same series as the engine keeps it: one polynomial in t = exp(T)
+# per torus class.  A fingerprint needs only these factors, so a chain
+# whose expansion has 3^13 = 1,594,323 terms is fingerprinted at once.
+print("\nfactors (t = exp(class)):")
+for name, factor in sorted(sw_factors(y).factors.items()):
+    print(f"  {name:<8} {factor}")
+big = surgered_chain(6, [trefoil] * 6, trefoil, trefoil)
+fp = fingerprint(big)
+print(f"fingerprint of a 6-chain of trefoils: count={fp.count} rank={fp.rank} a0={fp.a0}")
 
 # Stabilizing kills the invariant: the series of X # S2twS2 is zero.
 stabilized = connected_sum(y, block("S2twS2"))

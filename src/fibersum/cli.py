@@ -61,7 +61,7 @@ from .manifolds import (
     null_log_transform,
     surgered_chain,
 )
-from .swseries import sw_report, sw_series
+from .swseries import sw_report
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -77,8 +77,8 @@ def parse_braid_doc(doc, path: str) -> BraidWord:
     if not isinstance(doc, dict) or set(doc) != {"strands", "word"}:
         raise DocumentError(f'{path}: expected {{"strands": n, "word": [...]}}')
     strands, word = doc["strands"], doc["word"]
-    if not isinstance(strands, int) or not isinstance(word, list) or not all(
-        isinstance(x, int) for x in word
+    if not _is_int(strands) or not isinstance(word, list) or not all(
+        _is_int(x) for x in word
     ):
         raise DocumentError(f"{path}: braid needs integer strands and letters")
     try:
@@ -141,13 +141,13 @@ def parse_construction(doc, path: str = "$") -> Construction:
                 _require_str(value["torus"], f"{path}.logt.torus"),
             )
         if key == "XN":
-            if not isinstance(value, int):
+            if not _is_int(value):
                 raise DocumentError(f"{path}.XN: expected an integer")
             return fiber_sum_chain(value)
         if key == "Y":
             _require_keys(value, {"N", "mid", "first", "last"}, f"{path}.Y")
             n = value["N"]
-            if not isinstance(n, int):
+            if not _is_int(n):
                 raise DocumentError(f"{path}.Y.N: expected an integer")
             if not isinstance(value["mid"], list):
                 raise DocumentError(f"{path}.Y.mid: expected a list of braids")
@@ -166,6 +166,11 @@ def parse_construction(doc, path: str = "$") -> Construction:
     except (TypeError, KeyError) as exc:
         raise DocumentError(f"{path}: malformed node ({exc})") from exc
     raise DocumentError(f"{path}: unknown node key {key!r}")
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are bools, not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require_keys(value, keys: set[str], path: str):
@@ -257,17 +262,22 @@ def cmd_invariants(args) -> int:
 
 def cmd_sw(args) -> int:
     c = parse_construction(_load_doc(args.file))
-    report = sw_report(c)
+    data = sw_report(c).to_json()
     if args.json:
-        print(_emit({"series": str(report.series), "report": report.to_json()}))
+        print(_emit({"series": data["series"], "report": data}))
     else:
-        print(str(report.series))
-        print(_emit(report.to_json()))
+        print(data["series"])
+        print(_emit(data))
     return EXIT_OK
 
 
 def cmd_alexander(args) -> int:
-    word = tuple(int(x) for x in args.word.split(",")) if args.word else ()
+    try:
+        word = tuple(int(x) for x in args.word.split(",")) if args.word else ()
+    except ValueError as exc:
+        raise DocumentError(
+            f"--word: expected comma separated integers, got {args.word!r}"
+        ) from exc
     try:
         braid = BraidWord(args.strands, word)
     except ValueError as exc:

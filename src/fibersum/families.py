@@ -30,6 +30,7 @@ from .errors import NotAKnot, NotSimplyConnected, UnknownTorus, UnsupportedNode
 from .knots import BraidWord, closure_components
 from .manifolds import (
     Block,
+    CharNumbers,
     ConnectedSum,
     Construction,
     FiberSum,
@@ -43,7 +44,7 @@ from .manifolds import (
     fiber_sum_chain,
     knot_surgery,
 )
-from .swseries import sw_report
+from .swseries import SWReport, sw_report
 
 DISTINCT = "distinct"
 INCONCLUSIVE = "inconclusive"
@@ -60,7 +61,10 @@ class Fingerprint:
 
 
 def fingerprint(c: Construction) -> Fingerprint:
-    report = sw_report(c)
+    return _fingerprint_of(sw_report(c))
+
+
+def _fingerprint_of(report: SWReport) -> Fingerprint:
     return Fingerprint(report.count, report.rank, report.coeff_multiset, report.a0)
 
 
@@ -101,7 +105,10 @@ def family_generate(
 def homotopy_equivalent(a: Construction, b: Construction) -> bool:
     """Equality of (chi, sigma, parity) - complete homotopy data for
     closed simply connected 4-manifolds."""
-    ca, cb = char_numbers(a), char_numbers(b)
+    return _same_homotopy_type(char_numbers(a), char_numbers(b))
+
+
+def _same_homotopy_type(ca: CharNumbers, cb: CharNumbers) -> bool:
     if not (ca.simply_connected and cb.simply_connected):
         raise NotSimplyConnected("homotopy comparison needs simply connected input")
     return (ca.chi, ca.sigma, ca.parity) == (cb.chi, cb.sigma, cb.parity)
@@ -224,12 +231,20 @@ def one_stabilization_equivalent(a: Construction, b: Construction) -> bool:
 
 def family_report(members: list[Construction]) -> dict:
     """JSON-ready report: one entry per member plus the pairwise matrix of
-    homotopy / distinctness / one-stabilization verdicts."""
-    entries = []
+    homotopy / distinctness / one-stabilization verdicts.
+
+    Each member's characteristic numbers, SW report and normal form are
+    computed once; the pairs compare those.  A normal form is computed
+    only for members in a homotopy equivalent pair, as in
+    one_stabilization_equivalent.
+    """
+    numbers, fingerprints, entries = [], [], []
     for i, member in enumerate(members):
         cn = char_numbers(member)
         report = sw_report(member)
-        fp = fingerprint(member)
+        fp = _fingerprint_of(report)
+        numbers.append(cn)
+        fingerprints.append(fp)
         entries.append(
             {
                 "member_id": i,
@@ -250,16 +265,24 @@ def family_report(members: list[Construction]) -> dict:
                 "sw_string": str(report.series),
             }
         )
+    normal_forms: dict[int, Construction] = {}
+
+    def normal_form(i: int) -> Construction:
+        if i not in normal_forms:
+            normal_forms[i] = stable_normal_form(members[i])
+        return normal_forms[i]
+
     pairwise = []
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
+            homotopy = _same_homotopy_type(numbers[i], numbers[j])
             pairwise.append(
                 {
                     "i": i,
                     "j": j,
-                    "homotopy": homotopy_equivalent(members[i], members[j]),
-                    "distinct": distinguish(members[i], members[j]) == DISTINCT,
-                    "one_stab": one_stabilization_equivalent(members[i], members[j]),
+                    "homotopy": homotopy,
+                    "distinct": fingerprints[i] != fingerprints[j],
+                    "one_stab": homotopy and normal_form(i) == normal_form(j),
                 }
             )
     return {"members": entries, "pairwise": pairwise}

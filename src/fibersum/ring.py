@@ -4,15 +4,20 @@ LaurentPoly is Z[t, t^-1] stored sparsely as {exponent: coefficient}.
 GroupRingElt is the integral group ring of a free abelian group whose
 generators are named torus classes; an element stores its symbol table
 (the "lattice", a sorted tuple of names) and a sparse map from integer
-exponent vectors to coefficients.
+exponent vectors to coefficients.  FactoredSeries is a product of
+one-variable Laurent polynomials in independent named classes, the form
+the Seiberg-Witten gluing rules produce; it expands to a GroupRingElt on
+request.
 
-Both types are immutable by convention: every operation returns a fresh
+All three types are immutable by convention: every operation returns a fresh
 value and nothing mutates shared state, so values can be shared freely
 across threads.  Coefficients are Python ints, hence arbitrary precision.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -504,22 +509,10 @@ class GroupRingElt:
     # ---------------------------------------------------------- text form
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        zero = (0,) * len(self.lattice)
-        parts = []
-        for vec in sorted(self.terms, reverse=True):
-            c = self.terms[vec]
-            if vec == zero:
-                body = str(abs(c))
-            else:
-                mono = f"exp({_monomial_text(self.lattice, vec)})"
-                body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _series_text(
+            (_monomial_text(self.lattice, vec), self.terms[vec])
+            for vec in sorted(self.terms, reverse=True)
+        )
 
     @classmethod
     def parse(cls, text: str) -> "GroupRingElt":
@@ -560,6 +553,24 @@ class GroupRingElt:
             key = tuple(key)
             terms[key] = terms.get(key, 0) + coeff
         return cls(lattice, terms)
+
+
+def _series_text(terms) -> str:
+    """Canonical text of a series from (monomial text, coefficient) pairs
+    in descending order; an empty monomial is the constant term."""
+    parts = []
+    for mono, c in terms:
+        if not mono:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = f"exp({mono})"
+        else:
+            body = f"{abs(c)}*exp({mono})"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
 
 
 def _split_signed_terms(s: str):
@@ -606,3 +617,131 @@ def substitute_exp(p: LaurentPoly, cv: ClassVector) -> GroupRingElt:
     for e, c in p.terms.items():
         out = out + GroupRingElt.exp(cv.scaled(e), c)
     return out
+
+
+class FactoredSeries:
+    """Product of one-variable Laurent polynomials in independent classes.
+
+    factors maps a torus class name to a LaurentPoly in t = exp(class);
+    the product of all of them is the series, and the zero series has
+    factors None.  Since the variables are independent, nothing cancels:
+    the terms are the Cartesian product of the factors' terms, so counts,
+    order and text are all read off the factors without expanding.
+    """
+
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: dict[str, LaurentPoly] | None):
+        if factors is not None and any(f.is_zero() for f in factors.values()):
+            factors = None
+        self.factors = factors
+
+    @classmethod
+    def zero(cls) -> "FactoredSeries":
+        return cls(None)
+
+    @classmethod
+    def one(cls) -> "FactoredSeries":
+        return cls({})
+
+    def is_zero(self) -> bool:
+        return self.factors is None
+
+    def times(self, name: str, poly: LaurentPoly) -> "FactoredSeries":
+        """This series multiplied by poly(exp(name))."""
+        return self * FactoredSeries({name: poly})
+
+    def __mul__(self, other: "FactoredSeries") -> "FactoredSeries":
+        """Factors on the same class multiply; the others are kept."""
+        if not isinstance(other, FactoredSeries):
+            return NotImplemented
+        if self.factors is None or other.factors is None:
+            return FactoredSeries.zero()
+        factors = dict(self.factors)
+        for name, poly in other.factors.items():
+            factors[name] = factors[name] * poly if name in factors else poly
+        return FactoredSeries(factors)
+
+    @property
+    def lattice(self) -> tuple[str, ...]:
+        """Names of the non-constant factors, sorted: the lattice of the
+        pruned expansion."""
+        if self.factors is None:
+            return ()
+        return tuple(
+            sorted(n for n, f in self.factors.items() if any(f.terms.keys() - {0}))
+        )
+
+    def constant_coeff(self) -> int:
+        if self.factors is None:
+            return 0
+        out = 1
+        for f in self.factors.values():
+            out *= f.coeff(0)
+        return out
+
+    def _scalar(self) -> int:
+        """Product of the constant factors."""
+        lattice = set(self.lattice)
+        out = 1
+        for name, f in self.factors.items():
+            if name not in lattice:
+                out *= f.coeff(0)
+        return out
+
+    def sorted_terms(self, descending: bool = False):
+        """(exponent vector over self.lattice, coefficient) for every term,
+        in lexicographic order."""
+        if self.factors is None:
+            return
+        scalar = self._scalar()
+        exponents = [
+            sorted(self.factors[n].terms, reverse=descending) for n in self.lattice
+        ]
+        coeffs = [
+            [self.factors[n].terms[e] for e in exps]
+            for n, exps in zip(self.lattice, exponents)
+        ]
+        for vec, cs in zip(itertools.product(*exponents), itertools.product(*coeffs)):
+            yield vec, scalar * math.prod(cs)
+
+    def expand(self) -> GroupRingElt:
+        """The dense group ring element, over the pruned lattice."""
+        return GroupRingElt(self.lattice, dict(self.sorted_terms()))
+
+    def __str__(self):
+        """Same text as str() of the expansion, built term by term with
+        each monomial's text shared by all terms that extend it."""
+        if self.factors is None:
+            return "0"
+        terms = [("", self._scalar())]
+        for name in self.lattice:
+            f = self.factors[name]
+            steps = []
+            for e in sorted(f.terms, reverse=True):
+                body = name if abs(e) == 1 else f"{abs(e)}*{name}"
+                first = body if e > 0 else f"-{body}"
+                later = f"+ {body}" if e > 0 else f"- {body}"
+                steps.append((e, f.terms[e], first, later))
+            terms = [
+                (mono if not e else f"{mono} {later}" if mono else first, coeff * c)
+                for mono, coeff in terms
+                for e, c, first, later in steps
+            ]
+        return _series_text(terms)
+
+    def __eq__(self, other):
+        if isinstance(other, FactoredSeries):
+            other = other.expand()
+        elif not isinstance(other, (GroupRingElt, int)):
+            return NotImplemented
+        return self.expand() == other
+
+    def __hash__(self):
+        return hash(self.expand())
+
+    def __bool__(self):
+        return self.factors is not None
+
+    def __repr__(self):
+        return f"FactoredSeries({self.factors!r})"

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from corpus import refused_sw_trees, seeded_chains, sw_trees
+from dense_oracle import dense_sw_stdout
 from fibersum import BraidWord, fiber_sum_chain, null_log_transform, stable_normal_form, surgered_chain
 from fibersum.cli import construction_to_doc, main, parse_construction
 
@@ -104,6 +106,53 @@ def test_sw_determinism(tmp_path, capsys):
     assert first == second
 
 
+def test_sw_vanishing_sum_reports_zero(tmp_path, capsys):
+    doc = {"csum": [{"block": "K3"}, {"block": "S2twS2"}]}
+    assert main(["sw", write(tmp_path, "cs.json", doc)]) == 0
+    assert capsys.readouterr().out == (
+        "0\n"
+        '{"a0": 0, "coeffs": [], "count": 0, "lattice": [], "pairs": [], '
+        '"rank": 0, "series": "0"}\n'
+    )
+
+
+@pytest.mark.parametrize("kind", ["CP2", "CP2bar", "S2xS2", "S2twS2"])
+def test_sw_rational_block_exit_3(tmp_path, capsys, kind):
+    assert main(["sw", write(tmp_path, "b.json", {"block": kind})]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rational block" in captured.err
+
+
+# Trees the document grammar can write: a custom unified class has no
+# document field, so that tree is cross-checked in the library tests only.
+CLI_TREES = {
+    name: c
+    for name, c in {
+        **sw_trees(),
+        **{f"seeded chain {i}": c for i, c in enumerate(seeded_chains(20261017))},
+    }.items()
+    if parse_construction(construction_to_doc(c)) == c
+}
+
+
+@pytest.mark.parametrize("name", list(CLI_TREES))
+def test_sw_stdout_matches_dense_oracle(tmp_path, capsys, name):
+    c = CLI_TREES[name]
+    path = write(tmp_path, "c.json", construction_to_doc(c))
+    assert main(["sw", path]) == 0
+    assert capsys.readouterr().out == dense_sw_stdout(c, as_json=False)
+    assert main(["--json", "sw", path]) == 0
+    assert capsys.readouterr().out == dense_sw_stdout(c, as_json=True)
+
+
+@pytest.mark.parametrize("name", sorted(refused_sw_trees()))
+def test_sw_refused_trees_exit_3(tmp_path, capsys, name):
+    c, _ = refused_sw_trees()[name]
+    assert main(["sw", write(tmp_path, "c.json", construction_to_doc(c))]) == 3
+    assert capsys.readouterr().out == ""
+
+
 # ------------------------------------------------------------------ alexander
 
 
@@ -125,6 +174,13 @@ def test_alexander_link_exit_4(capsys):
 def test_alexander_bad_letter_exit_2(capsys):
     assert main(["alexander", "--strands", "2", "--word", "3"]) == 2
     capsys.readouterr()
+
+
+def test_alexander_non_integer_letter_exit_2(capsys):
+    assert main(["alexander", "--strands", "2", "--word", "1,a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --word") and captured.err.count("\n") == 1
 
 
 # --------------------------------------------------------------------- family
@@ -167,6 +223,13 @@ def test_compare_different_chains(tmp_path, capsys):
     assert main(["--json", "compare", a, b]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["homotopy"] is False and data["one_stab"] is False
+
+
+def test_compare_stabilized_members(tmp_path, capsys):
+    a = {"csum": [y_doc([TREFOIL_BRAID]), {"block": "S2twS2"}]}
+    b = {"csum": [y_doc([UNKNOT_BRAID]), {"block": "S2twS2"}]}
+    assert main(["compare", write(tmp_path, "a.json", a), write(tmp_path, "b.json", b)]) == 0
+    assert capsys.readouterr().out == "homotopy:true distinct:false one_stab:true\n"
 
 
 # ------------------------------------------------------------------- stabilize
@@ -216,3 +279,29 @@ def test_document_error_paths():
                          "braid": {"strands": 2, "word": [5]}}}
         )
     assert "braid" in str(info.value)
+
+
+def _bool_document_exit_2(tmp_path, capsys, doc, where):
+    assert main(["invariants", write(tmp_path, "b.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert where in captured.err
+
+
+def test_bool_chain_length_exit_2(tmp_path, capsys):
+    _bool_document_exit_2(tmp_path, capsys, {"XN": True}, "$.XN")
+
+
+def test_bool_y_size_exit_2(tmp_path, capsys):
+    _bool_document_exit_2(tmp_path, capsys, y_doc([TREFOIL_BRAID], n=True), "$.Y.N")
+
+
+def test_bool_braid_strands_exit_2(tmp_path, capsys):
+    braid = {"strands": True, "word": []}
+    _bool_document_exit_2(tmp_path, capsys, y_doc([braid]), "$.Y.mid[0]")
+
+
+def test_bool_braid_letter_exit_2(tmp_path, capsys):
+    braid = {"strands": 2, "word": [1, True, 1]}
+    doc = {"surgery": {"on": {"XN": 1}, "torus": "T[1,2]", "braid": braid}}
+    _bool_document_exit_2(tmp_path, capsys, doc, "$.surgery.braid")
