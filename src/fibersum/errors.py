@@ -42,13 +42,8 @@ class TorusUnavailable(CalculusError):
     not exist in the referenced subtree."""
 
 
-class TorusNotSquareZero(CalculusError):
-    """Fiber sums glue along square-zero tori only."""
-
-
 class HypothesisViolated(CalculusError):
-    """A surgery hypothesis (essential, square-zero, simply connected
-    complement, simply connected ambient manifold) fails."""
+    """A surgery hypothesis (simply connected ambient manifold) fails."""
 
 
 class BadParameter(CalculusError):

@@ -8,6 +8,13 @@ Two independent routes compute the same invariant:
 * ``alexander_oracle`` builds a Seifert matrix directly from braid-band
   linking numbers and returns det(V - t V^T), normalized the same way.
 
+Both routes take their determinant with ``linalg.laurent_det``, which
+substitutes t = 2^B into the Laurent matrix, takes one integer Bareiss
+determinant and reads the coefficients back as signed base-2^B digits.  B
+comes from a Hadamard-type bound: no coefficient of the determinant exceeds
+prod_r sqrt(sum_c ||p_rc||_1^2), so the digits never overlap.  The routes
+share only that determinant and polynomial arithmetic.
+
 Both are exact; the test suite insists they agree on every knot they are
 handed.  Normalization fixes the symmetric representative with value 1 at
 t = 1, which quotients out all unit and mirror ambiguities, so any globally
@@ -261,7 +268,7 @@ def seifert_matrix(braid: BraidWord):
 def alexander_oracle(braid: BraidWord) -> LaurentPoly:
     """Alexander polynomial via the Seifert matrix: det(V - t V^T),
     normalized exactly as ``alexander``.  Shares no code with the Burau
-    route beyond polynomial arithmetic."""
+    route beyond polynomial arithmetic and ``laurent_det``."""
     v = seifert_matrix(braid)
     size = len(v)
     if size == 0:

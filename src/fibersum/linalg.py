@@ -1,9 +1,15 @@
 """Fraction-free linear algebra over exact rings.
 
-Two primitives: a Bareiss determinant for square matrices of Laurent
-polynomials (all intermediate divisions are exact in an integral domain),
-and an integer matrix rank by fraction-free forward elimination.  No
-floating point anywhere.
+Two primitives, both over Python integers with no floating point:
+
+* ``laurent_det`` computes the determinant of a square matrix of Laurent
+  polynomials by Kronecker substitution.  Each row is shifted to
+  nonnegative exponents, every entry is evaluated at t = 2^B, one integer
+  Bareiss determinant is taken, and the coefficients are read back as
+  signed base-2^B digits.  B comes from a Hadamard-type bound on the
+  coefficients of the determinant, so the digits never overlap.
+* ``integer_rank`` computes the rank of an integer matrix by fraction-free
+  forward elimination.
 """
 
 from __future__ import annotations
@@ -14,36 +20,73 @@ from .ring import LaurentPoly
 def laurent_det(matrix) -> LaurentPoly:
     """Determinant of a square matrix of LaurentPoly entries.
 
-    One-step Bareiss elimination with row pivoting; each division by the
-    previous pivot is exact because every intermediate entry is a minor of
-    the input matrix.
+    After each row is multiplied by the power of t that makes its lowest
+    exponent 0, every entry p satisfies |p(z)| <= ||p||_1 on the unit
+    circle.  Hadamard's inequality then bounds |det(z)| there by
+    bound = prod_r sqrt(sum_c ||p_rc||_1^2), and no coefficient of det
+    exceeds that maximum.  B is chosen with 2^(B-1) > bound, so the integer
+    det(M(2^B)) holds every coefficient as one signed base-2^B digit.
     """
     n = len(matrix)
-    if n == 0:
-        return LaurentPoly.one()
-    a = [list(row) for row in matrix]
-    for row in a:
+    for row in matrix:
         if len(row) != n:
             raise ValueError("determinant needs a square matrix")
+    shift = 0
+    bound_sq = 1
+    rows = []
+    for row in matrix:
+        terms = [p.terms for p in row]
+        low = min((min(t) for t in terms if t), default=None)
+        if low is None:
+            return LaurentPoly.zero()
+        shift += low
+        bound_sq *= sum(sum(map(abs, t.values())) ** 2 for t in terms)
+        rows.append((low, terms))
+    bits = (bound_sq.bit_length() + 1) // 2 + 2
+    value = _integer_det(
+        [
+            [sum(c << bits * (e - low) for e, c in t.items()) for t in terms]
+            for low, terms in rows
+        ]
+    )
+    coeffs = {}
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    exponent = shift
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << bits
+        coeffs[exponent] = digit
+        value = (value - digit) >> bits
+        exponent += 1
+    return LaurentPoly(coeffs)
+
+
+def _integer_det(a) -> int:
+    """Determinant of a square integer matrix by one-step Bareiss
+    elimination with row pivoting.  Each step replaces the matrix by its
+    trailing block; every division by the previous pivot is exact because
+    each new entry is a minor of the input."""
     sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = LaurentPoly.zero()
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
+    prev = 1
+    while len(a) > 1:
+        for p, row in enumerate(a):
+            if row[0]:
+                break
+        else:
+            return 0
+        if p:
+            a[0], a[p] = a[p], a[0]
+            sign = -sign
+        pivot = a[0][0]
+        top = a[0][1:]
+        a = [
+            [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], top)]
+            for row in a[1:]
+        ]
+        prev = pivot
+    return sign * a[0][0] if a else 1
 
 
 def integer_rank(rows) -> int:

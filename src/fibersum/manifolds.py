@@ -23,7 +23,6 @@ from .errors import (
     BadParameter,
     HypothesisViolated,
     NotAKnot,
-    TorusNotSquareZero,
     TorusUnavailable,
     UnknownBlock,
 )
@@ -45,12 +44,10 @@ _K3_DEFAULT_TORI = ("T1", "T2", "T3")
 
 @dataclass(frozen=True)
 class TorusRecord:
-    """Bookkeeping for one torus: position flags plus availability."""
+    """Bookkeeping for one torus: its name and availability.  Every torus
+    is a square-zero block torus with simply connected complement."""
 
     name: str
-    essential: bool = True
-    square_zero: bool = True
-    complement_simply_connected: bool = True
     status: str = "available"  # or "consumed"
 
 
@@ -210,9 +207,10 @@ def fiber_sum(
 ) -> FiberSum:
     """Fiber sum gluing a_torus (in a) to b_torus (in b).
 
-    Both tori must be available and square-zero; they are consumed, and
-    their common homology class survives under ``unified`` (defaulting to
-    the left torus's name).  All other tori stay available.
+    Both tori must be available (every block torus is square-zero); they
+    are consumed, and their common homology class survives under
+    ``unified`` (defaulting to the left torus's name).  All other tori stay
+    available.
     """
     b, rename = _disambiguate(a, b)
     b_torus = rename(b_torus)
@@ -225,24 +223,21 @@ def fiber_sum(
         rec = records.get(torus)
         if rec is None or rec.status != "available":
             raise TorusUnavailable(f"{side} torus {torus!r} is not available")
-        if not rec.square_zero:
-            raise TorusNotSquareZero(f"{side} torus {torus!r} has nonzero square")
     return FiberSum(a, a_torus, b, b_torus, unified or a_torus)
 
 
 def knot_surgery(a: Construction, torus: str, braid: BraidWord) -> KnotSurgery:
     """Fiber sum with S^3 x S^1 along (closure of braid) x S^1.
 
-    Requires the torus available, essential, square-zero, with simply
-    connected complement, the ambient manifold simply connected, and the
-    braid closure a knot.  Characteristic numbers are unchanged and the
+    Requires the torus available, the ambient manifold simply connected,
+    and the braid closure a knot.  Every block torus is essential and
+    square-zero with simply connected complement, so those hypotheses hold
+    by construction.  Characteristic numbers are unchanged and the
     torus stays available (repeated surgery is permitted).
     """
     rec = torus_records(a).get(torus)
     if rec is None or rec.status != "available":
         raise TorusUnavailable(f"torus {torus!r} is not available")
-    if not (rec.essential and rec.square_zero and rec.complement_simply_connected):
-        raise HypothesisViolated(f"torus {torus!r} fails the surgery hypotheses")
     if not char_numbers(a).simply_connected:
         raise HypothesisViolated("knot surgery requires a simply connected manifold")
     if closure_components(braid) != 1:
@@ -286,15 +281,7 @@ def _char_rec(c: Construction):
         # chi(T^2) = 0 and Novikov additivity; parity preservation is an
         # assumption valid for these blocks, asserted rather than derived.
         parity = "even" if lp == "even" and rp == "even" else "odd"
-        left_rec = torus_records(c.left)[c.left_torus]
-        right_rec = torus_records(c.right)[c.right_torus]
-        sc = (
-            lsc
-            and rsc
-            and left_rec.complement_simply_connected
-            and right_rec.complement_simply_connected
-        )
-        return lc + rc, ls + rs, parity, sc
+        return lc + rc, ls + rs, parity, lsc and rsc
     if isinstance(c, (KnotSurgery, NullLogTransform)):
         return _char_rec(c.child)
     raise TypeError(f"not a construction node: {c!r}")

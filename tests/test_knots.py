@@ -1,8 +1,11 @@
 """Braid words, Burau matrices, and the two Alexander routes."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import (
     FIGURE_EIGHT,
@@ -212,3 +215,39 @@ def test_stabilization_exact():
         base = alexander(braid)
         assert alexander(braid.stabilized(1)) == base
         assert alexander(braid.stabilized(-1)) == base
+
+
+@st.composite
+def knot_braids(draw):
+    """Braids on 2-7 strands of length at most 60 whose closure is a knot:
+    a random word, then one letter per extra component, each joining two
+    components of the closure."""
+    strands = draw(st.integers(2, 7))
+    letters = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    length = draw(st.integers(0, 60 - strands))
+    braid = BraidWord(strands, tuple(draw(st.lists(letters, min_size=length, max_size=length))))
+    while (count := closure_components(braid)) > 1:
+        joins = [
+            i
+            for i in range(1, strands)
+            if closure_components(BraidWord(strands, braid.word + (i,))) < count
+        ]
+        i = draw(st.sampled_from(joins))
+        braid = BraidWord(strands, braid.word + (draw(st.sampled_from([i, -i])),))
+    return braid
+
+
+@settings(max_examples=60, deadline=None)
+@given(knot_braids())
+def test_property_burau_equals_seifert(braid):
+    assert len(braid.word) <= 60
+    assert alexander(braid) == alexander_oracle(braid)
+
+
+def test_oracle_long_torus_knot():
+    braid = BraidWord(2, (1,) * 81)
+    start = time.perf_counter()
+    delta = alexander_oracle(braid)
+    assert time.perf_counter() - start < 3
+    assert delta == alexander(braid)
+    assert delta == LaurentPoly({e: (-1) ** (40 - e) for e in range(-40, 41)})
