@@ -2,7 +2,7 @@
 fiber-sum factor conventions.
 
 Three rules drive the engine: the K3 block contributes 1, each fiber sum
-multiplies by (exp(T) - exp(-T))^2 over the unified class T, and each
+multiplies by (exp(T) - exp(-T))^2 over the glued class T, and each
 knot surgery multiplies by the knot's Alexander polynomial evaluated at
 exp(2T).  Each rule multiplies by a polynomial in one class, so the
 engine keeps one factor per class and reads the report off the factors;

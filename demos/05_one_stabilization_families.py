@@ -47,7 +47,7 @@ for i in range(len(members)):
 
 print("\nnormal forms after one stabilization:")
 for label, member in zip(labels, members):
-    print(f"  {label:>12}: {normal_form_text(stable_normal_form(member))}")
+    print(f"  {label:>12}: {normal_form_text(*stable_normal_form(member))}")
 
 # A geometrically null log transform is likewise invisible after one
 # stabilization: the transformed chain has the same normal form.

@@ -325,26 +325,27 @@ def cmd_compare(args) -> int:
 
 def cmd_stabilize(args) -> int:
     c = parse_construction(_load_doc(args.file))
-    normal = stable_normal_form(c)
+    cp2, cp2bar = stable_normal_form(c)
     if args.json:
-        print(_emit(construction_to_doc(normal)))
+        print(_normal_form_doc(cp2, cp2bar))
     else:
-        print(normal_form_text(normal))
+        print(normal_form_text(cp2, cp2bar))
     return EXIT_OK
 
 
-def normal_form_text(c: Construction) -> str:
-    """Connected-sum counts as text, e.g. '#4 CP2 # 20 CP2bar'."""
-    counts: dict[str, int] = {}
-    stack = [c]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ConnectedSum):
-            stack.extend([node.left, node.right])
-        else:
-            assert isinstance(node, Block)
-            counts[node.kind] = counts.get(node.kind, 0) + 1
-    return "#" + " # ".join(f"{counts[k]} {k}" for k in sorted(counts))
+def normal_form_text(cp2: int, cp2bar: int) -> str:
+    """Connected-sum counts as text, e.g. '#4 CP2 # 20 CP2bar'; zero
+    counts are omitted."""
+    counts = [(cp2, "CP2"), (cp2bar, "CP2bar")]
+    return "#" + " # ".join(f"{n} {kind}" for n, kind in counts if n)
+
+
+def _normal_form_doc(cp2: int, cp2bar: int) -> str:
+    """The canonical left-nested connected sum of cp2 CP2 and cp2bar
+    CP2bar blocks (CP2 summands first) as the document text _emit would
+    write for it, built straight from the counts: no tree, no recursion."""
+    head, *rest = ['{"block": "CP2"}'] * cp2 + ['{"block": "CP2bar"}'] * cp2bar
+    return '{"csum": [' * len(rest) + head + "".join(f", {b}]}}" for b in rest)
 
 
 # ------------------------------------------------------------------ driver

@@ -42,16 +42,8 @@ class TorusUnavailable(CalculusError):
     not exist in the referenced subtree."""
 
 
-class HypothesisViolated(CalculusError):
-    """A surgery hypothesis (simply connected ambient manifold) fails."""
-
-
 class BadParameter(CalculusError):
     """Nonsensical numeric parameter (e.g. a chain of zero blocks)."""
-
-
-class NotSimplyConnected(CalculusError):
-    """Homotopy comparison is only defined for simply connected input."""
 
 
 # ---------------------------------------------------------------- swseries

@@ -16,17 +16,19 @@ may be compared.  Equal fingerprints certify nothing, hence the verdict
 The normal form encodes proved diffeomorphisms as rewrites and nothing
 else: knot surgeries and null log transforms are erased (each is undone
 by the single stabilization), a chain of n K3 blocks becomes the
-connected sum of 4n CP2 and 20n CP2bar blocks, and connected sums of
-rational blocks are canonically sorted.  Trees outside that grammar are
-rejected rather than guessed at.
+connected sum of 4n CP2 and 20n CP2bar blocks, and each S2twS2 splits as
+CP2 # CP2bar.  The canonical connected sum is fixed by its two counts,
+so the normal form is the pair (cp2, cp2bar); no tree is built.  Trees
+outside that grammar are rejected rather than guessed at.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
-from .errors import NotAKnot, NotSimplyConnected, UnknownTorus, UnsupportedNode
+from .errors import NotAKnot, UnknownTorus, UnsupportedNode
 from .knots import BraidWord, closure_components
 from .manifolds import (
     Block,
@@ -38,8 +40,6 @@ from .manifolds import (
     NullLogTransform,
     available_tori,
     char_numbers,
-    connected_sum,
-    block,
     debug_string,
     fiber_sum_chain,
     knot_surgery,
@@ -109,8 +109,6 @@ def homotopy_equivalent(a: Construction, b: Construction) -> bool:
 
 
 def _same_homotopy_type(ca: CharNumbers, cb: CharNumbers) -> bool:
-    if not (ca.simply_connected and cb.simply_connected):
-        raise NotSimplyConnected("homotopy comparison needs simply connected input")
     return (ca.chi, ca.sigma, ca.parity) == (cb.chi, cb.sigma, cb.parity)
 
 
@@ -123,98 +121,52 @@ def distinguish(a: Construction, b: Construction) -> str:
 # --------------------------------------------------------------- normal form
 
 
-def _strip_surgeries(c: Construction) -> Construction:
-    """Erase knot surgeries and null log transforms: one stabilization
-    undoes each (any knot unknots through +-1 surgeries, and the log
-    transform is undone directly)."""
-    if isinstance(c, (KnotSurgery, NullLogTransform)):
-        return _strip_surgeries(c.child)
-    if isinstance(c, ConnectedSum):
-        return ConnectedSum(_strip_surgeries(c.left), _strip_surgeries(c.right))
-    if isinstance(c, FiberSum):
-        return FiberSum(
-            _strip_surgeries(c.left),
-            c.left_torus,
-            _strip_surgeries(c.right),
-            c.right_torus,
-            c.unified,
-        )
-    return c
+def stable_normal_form(c: Construction) -> tuple[int, int]:
+    """The diffeomorphism type after one stabilization, as the numbers
+    (cp2, cp2bar) of CP2 and CP2bar blocks in its canonical connected sum.
 
-
-def _k3_chain_size(c: Construction) -> int | None:
-    """Number of K3 blocks if c is a pure fiber-sum tree of K3s."""
-    if isinstance(c, Block):
-        return 1 if c.kind == "K3" else None
-    if isinstance(c, FiberSum):
-        left = _k3_chain_size(c.left)
-        right = _k3_chain_size(c.right)
-        if left is None or right is None:
-            return None
-        return left + right
-    return None
-
-
-def _flatten_sum(c: Construction) -> list[Construction] | None:
-    if isinstance(c, ConnectedSum):
-        left = _flatten_sum(c.left)
-        right = _flatten_sum(c.right)
-        if left is None or right is None:
-            return None
-        return left + right
-    return [c]
-
-
-def _rational_chain(cp2: int, cp2bar: int) -> Construction:
-    """Canonical left-nested connected sum of cp2 CP2 and cp2bar CP2bar
-    blocks (CP2 summands first)."""
-    blocks = ["CP2"] * cp2 + ["CP2bar"] * cp2bar
-    if not blocks:
-        raise UnsupportedNode("empty connected sum has no normal form")
-    result: Construction = block(blocks[0])
-    for kind in blocks[1:]:
-        result = connected_sum(result, block(kind))
-    return result
-
-
-def stable_normal_form(c: Construction) -> Construction:
-    """Canonical representative of the diffeomorphism type after one
-    stabilization.
-
-    Supported trees, after erasing surgeries and log transforms:
+    Knot surgeries and null log transforms are erased wherever they sit
+    (one stabilization undoes each: any knot unknots through +-1
+    surgeries, and the log transform is undone directly), and connected
+    sums are flattened into summands.  Supported trees:
 
     * a pure fiber-sum tree of n K3 blocks: one stabilization dissolves it
       into the connected sum of 4n CP2 and 20n CP2bar blocks;
     * such a tree already summed with m >= 1 copies of S2twS2: the extra
       copies beyond the first merge in, giving 4n+m-1 and 20n+m-1;
     * a connected sum of CP2 / CP2bar / S2twS2 blocks only: already a
-      sorted rational chain (each S2twS2 splits as CP2 # CP2bar); these
-      are fixed points, making the normal form idempotent.
+      rational chain (each S2twS2 splits as CP2 # CP2bar); these are
+      fixed points, making the normal form idempotent.
 
     Anything else raises UnsupportedNode: the rewrite encodes proved
     diffeomorphisms only and does not invent new ones.
     """
-    core = _strip_surgeries(c)
-    n = _k3_chain_size(core)
-    if n is not None:
-        return _rational_chain(4 * n, 20 * n)
-    leaves = _flatten_sum(core)
-    if leaves is None:
-        raise UnsupportedNode(f"outside the stabilization grammar: {debug_string(c)}")
-    chains = [leaf for leaf in leaves if _k3_chain_size(leaf) is not None]
-    blocks = [leaf for leaf in leaves if isinstance(leaf, Block) and leaf.kind != "K3"]
-    if len(chains) + len(blocks) != len(leaves):
-        raise UnsupportedNode(f"outside the stabilization grammar: {debug_string(c)}")
-    kinds = [b.kind for b in blocks]
-    if len(chains) == 1 and all(k == "S2twS2" for k in kinds) and kinds:
-        n = _k3_chain_size(chains[0])
-        extra = len(kinds) - 1
-        return _rational_chain(4 * n + extra, 20 * n + extra)
-    if not chains and kinds and all(k in ("CP2", "CP2bar", "S2twS2") for k in kinds):
-        twisted = sum(1 for k in kinds if k == "S2twS2")
-        cp2 = sum(1 for k in kinds if k == "CP2") + twisted
-        cp2bar = sum(1 for k in kinds if k == "CP2bar") + twisted
-        return _rational_chain(cp2, cp2bar)
+    k3 = chains = 0
+    rational: Counter[str] = Counter()
+    grammatical = True
+    stack = [(c, False)]  # (node, inside a fiber sum)
+    while stack and grammatical:
+        node, in_fiber = stack.pop()
+        if isinstance(node, (KnotSurgery, NullLogTransform)):
+            stack.append((node.child, in_fiber))
+        elif isinstance(node, FiberSum):
+            chains += not in_fiber
+            stack += [(node.left, True), (node.right, True)]
+        elif isinstance(node, Block) and node.kind == "K3":
+            k3 += 1
+            chains += not in_fiber
+        elif in_fiber:
+            grammatical = False  # a connected sum or rational block in a fiber sum
+        elif isinstance(node, ConnectedSum):
+            stack += [(node.left, False), (node.right, False)]
+        else:
+            rational[node.kind] += 1
+    twisted = rational.pop("S2twS2", 0)
+    if grammatical and chains == 1 and not rational:
+        extra = max(twisted - 1, 0)
+        return 4 * k3 + extra, 20 * k3 + extra
+    if grammatical and chains == 0 and set(rational) <= {"CP2", "CP2bar"}:
+        return rational["CP2"] + twisted, rational["CP2bar"] + twisted
     raise UnsupportedNode(f"outside the stabilization grammar: {debug_string(c)}")
 
 
@@ -265,9 +217,9 @@ def family_report(members: list[Construction]) -> dict:
                 "sw_string": str(report.series),
             }
         )
-    normal_forms: dict[int, Construction] = {}
+    normal_forms: dict[int, tuple[int, int]] = {}
 
-    def normal_form(i: int) -> Construction:
+    def normal_form(i: int) -> tuple[int, int]:
         if i not in normal_forms:
             normal_forms[i] = stable_normal_form(members[i])
         return normal_forms[i]

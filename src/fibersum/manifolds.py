@@ -4,14 +4,15 @@ A Construction is an immutable expression tree over five standard blocks
 (K3 and the four rational stabilizer blocks), combined by connected sum,
 fiber sum along square-zero tori, knot surgery (fiber sum with S^3 x S^1
 along knot x S^1) and geometrically null +1 log transforms.  Gluing maps
-are not modeled; the only datum a fiber sum keeps is the unified torus
-class, which is all the invariant formulas consume.
+are not modeled; the glued torus class is named after the left torus,
+which is all the invariant formulas consume.
 
 Tori are tracked by globally unique names.  A fiber sum consumes the two
 tori it glues; knot surgery and log transforms leave their torus in place.
-Characteristic numbers (chi, sigma, b2+-, parity, simple connectivity)
-evaluate recursively; parity under fiber sum is declared preserved for
-these blocks rather than derived.
+Characteristic numbers (chi, sigma, b2+-, parity) evaluate recursively;
+every block is simply connected and so is every combination of them.
+Parity under fiber sum is declared preserved for these blocks rather
+than derived.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Union
 
-from .errors import (
-    BadParameter,
-    HypothesisViolated,
-    NotAKnot,
-    TorusUnavailable,
-    UnknownBlock,
-)
+from .errors import BadParameter, NotAKnot, TorusUnavailable, UnknownBlock
 from .knots import BraidWord, closure_components
 
 BLOCK_NAMES = ("K3", "CP2", "CP2bar", "S2xS2", "S2twS2")
@@ -69,7 +64,6 @@ class FiberSum:
     left_torus: str
     right: "Construction"
     right_torus: str
-    unified: str
 
 
 @dataclass(frozen=True)
@@ -168,7 +162,6 @@ def _rename_tori(c: Construction, prefix: str) -> Construction:
             prefix + c.left_torus,
             _rename_tori(c.right, prefix),
             prefix + c.right_torus,
-            prefix + c.unified,
         )
     if isinstance(c, KnotSurgery):
         return KnotSurgery(_rename_tori(c.child, prefix), prefix + c.torus, c.braid)
@@ -198,19 +191,12 @@ def connected_sum(a: Construction, b: Construction) -> ConnectedSum:
     return ConnectedSum(a, b)
 
 
-def fiber_sum(
-    a: Construction,
-    a_torus: str,
-    b: Construction,
-    b_torus: str,
-    unified: str | None = None,
-) -> FiberSum:
+def fiber_sum(a: Construction, a_torus: str, b: Construction, b_torus: str) -> FiberSum:
     """Fiber sum gluing a_torus (in a) to b_torus (in b).
 
     Both tori must be available (every block torus is square-zero); they
-    are consumed, and their common homology class survives under
-    ``unified`` (defaulting to the left torus's name).  All other tori stay
-    available.
+    are consumed, and their common homology class survives under the
+    left torus's name.  All other tori stay available.
     """
     b, rename = _disambiguate(a, b)
     b_torus = rename(b_torus)
@@ -223,23 +209,21 @@ def fiber_sum(
         rec = records.get(torus)
         if rec is None or rec.status != "available":
             raise TorusUnavailable(f"{side} torus {torus!r} is not available")
-    return FiberSum(a, a_torus, b, b_torus, unified or a_torus)
+    return FiberSum(a, a_torus, b, b_torus)
 
 
 def knot_surgery(a: Construction, torus: str, braid: BraidWord) -> KnotSurgery:
     """Fiber sum with S^3 x S^1 along (closure of braid) x S^1.
 
-    Requires the torus available, the ambient manifold simply connected,
-    and the braid closure a knot.  Every block torus is essential and
-    square-zero with simply connected complement, so those hypotheses hold
-    by construction.  Characteristic numbers are unchanged and the
-    torus stays available (repeated surgery is permitted).
+    Requires the torus available and the braid closure a knot.  Every
+    construction is simply connected and every block torus is essential
+    and square-zero with simply connected complement, so the remaining
+    hypotheses hold by construction.  Characteristic numbers are unchanged
+    and the torus stays available (repeated surgery is permitted).
     """
     rec = torus_records(a).get(torus)
     if rec is None or rec.status != "available":
         raise TorusUnavailable(f"torus {torus!r} is not available")
-    if not char_numbers(a).simply_connected:
-        raise HypothesisViolated("knot surgery requires a simply connected manifold")
     if closure_components(braid) != 1:
         raise NotAKnot(f"closure of {braid} is not a knot")
     return KnotSurgery(a, torus, braid)
@@ -258,30 +242,30 @@ def null_log_transform(a: Construction, torus: str) -> NullLogTransform:
 
 
 def char_numbers(c: Construction) -> CharNumbers:
-    """Recursive evaluation of chi, sigma, b2+-, parity and the simple
-    connectivity flag.  b2+- are derived from chi and sigma (b1 = 0)."""
-    chi, sigma, parity, sc = _char_rec(c)
+    """Recursive evaluation of chi, sigma, b2+- and parity.  b2+- are
+    derived from chi and sigma (b1 = 0); every construction is simply
+    connected."""
+    chi, sigma, parity = _char_rec(c)
     b2_plus = (chi - 2 + sigma) // 2
     b2_minus = (chi - 2 - sigma) // 2
-    return CharNumbers(chi, sigma, 0, b2_plus, b2_minus, parity, sc)
+    return CharNumbers(chi, sigma, 0, b2_plus, b2_minus, parity, True)
 
 
 def _char_rec(c: Construction):
     if isinstance(c, Block):
-        chi, sigma, parity = _BLOCK_NUMBERS[c.kind]
-        return chi, sigma, parity, True
+        return _BLOCK_NUMBERS[c.kind]
     if isinstance(c, ConnectedSum):
-        lc, ls, lp, lsc = _char_rec(c.left)
-        rc, rs, rp, rsc = _char_rec(c.right)
+        lc, ls, lp = _char_rec(c.left)
+        rc, rs, rp = _char_rec(c.right)
         parity = "even" if lp == "even" and rp == "even" else "odd"
-        return lc + rc - 2, ls + rs, parity, lsc and rsc
+        return lc + rc - 2, ls + rs, parity
     if isinstance(c, FiberSum):
-        lc, ls, lp, lsc = _char_rec(c.left)
-        rc, rs, rp, rsc = _char_rec(c.right)
+        lc, ls, lp = _char_rec(c.left)
+        rc, rs, rp = _char_rec(c.right)
         # chi(T^2) = 0 and Novikov additivity; parity preservation is an
         # assumption valid for these blocks, asserted rather than derived.
         parity = "even" if lp == "even" and rp == "even" else "odd"
-        return lc + rc, ls + rs, parity, lsc and rsc
+        return lc + rc, ls + rs, parity
     if isinstance(c, (KnotSurgery, NullLogTransform)):
         return _char_rec(c.child)
     raise TypeError(f"not a construction node: {c!r}")
@@ -294,8 +278,8 @@ def fiber_sum_chain(n: int) -> Construction:
     """Chain of n K3 copies, each glued to the next along its third torus
     and the next copy's first torus.
 
-    Copy alpha carries tori T[alpha,1..3]; the glued classes are unified
-    as T[alpha,3] (so T[alpha,3] and T[alpha+1,1] name one class), leaving
+    Copy alpha carries tori T[alpha,1..3]; each glued class is named
+    T[alpha,3] (so T[alpha,3] and T[alpha+1,1] name one class), leaving
     T[1,1], every T[alpha,2], and T[n,3] available: n + 2 tori in all.
     """
     if n < 1:

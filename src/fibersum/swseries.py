@@ -2,7 +2,7 @@
 
 The engine walks a construction tree once with three gluing rules: the
 K3 block has series 1; a fiber sum multiplies the two sides' series by
-(exp(T) - exp(-T))^2 over the unified torus class T; a knot surgery
+(exp(T) - exp(-T))^2 over the glued torus class T; a knot surgery
 multiplies by Delta_K(exp(2T)), the knot's symmetric Alexander
 polynomial evaluated at twice the torus class.  Every rule multiplies by
 a polynomial in a single class, so the series is kept as a
@@ -68,7 +68,7 @@ def sw_factors(c: Construction) -> FactoredSeries:
         )
     if isinstance(c, FiberSum):
         both = sw_factors(c.left) * sw_factors(c.right)
-        return both.times(c.unified, FIBER_POLY * FIBER_POLY)
+        return both.times(c.left_torus, FIBER_POLY * FIBER_POLY)
     if isinstance(c, KnotSurgery):
         return sw_factors(c.child).times(c.torus, _surgery_poly(c.braid))
     if isinstance(c, ConnectedSum):

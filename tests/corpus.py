@@ -11,6 +11,7 @@ import random
 
 from fibersum import (
     BraidWord,
+    ConnectedSum,
     LaurentPoly,
     block,
     closure_components,
@@ -99,8 +100,8 @@ def random_markov_move(braid: BraidWord, rng: random.Random) -> BraidWord:
 
 def sw_trees() -> dict:
     """Named construction trees the SW engine supports: K3 blocks, chains,
-    surgeries (repeated, renamed, on a custom unified class) and vanishing
-    connected sums of both b2+ parities."""
+    surgeries (repeated, renamed) and vanishing connected sums of both b2+
+    parities."""
     k3_trefoil = knot_surgery(block("K3"), "T2", TREFOIL)
     chain2 = fiber_sum_chain(2)
     y2 = surgered_chain(2, [TREFOIL, FIGURE_EIGHT], UNKNOT, TWIST_BRAIDS["5_2"])
@@ -121,11 +122,6 @@ def sw_trees() -> dict:
             "T3",
             knot_surgery(block("K3"), "T2", FIGURE_EIGHT),
             "T1",
-        ),
-        "custom unified class": knot_surgery(
-            fiber_sum(block("K3"), "T3", block("K3"), "T1", unified="U"),
-            "T2",
-            TREFOIL,
         ),
         "K3 # S2twS2": connected_sum(block("K3"), block("S2twS2")),
         "chain 2 # S2xS2": connected_sum(chain2, block("S2xS2")),
@@ -153,6 +149,17 @@ def refused_sw_trees() -> dict:
             UnsupportedNode,
         ),
     }
+
+
+def rational_chain(cp2: int, cp2bar: int):
+    """The canonical left-nested connected sum of cp2 CP2 and cp2bar CP2bar
+    blocks, CP2 summands first.  These blocks carry no tori, so nodes built
+    directly equal what connected_sum builds, in linear time."""
+    head, *rest = ["CP2"] * cp2 + ["CP2bar"] * cp2bar
+    c = block(head)
+    for kind in rest:
+        c = ConnectedSum(c, block(kind))
+    return c
 
 
 CHAIN_KNOTS = (UNKNOT, TREFOIL, FIGURE_EIGHT, TWIST_BRAIDS["5_2"], TORUS_BRAIDS[5])

@@ -38,7 +38,7 @@ def dense_sw_series(c) -> GroupRingElt:
             return GroupRingElt.one()
         raise UnsupportedNode(f"no SW value for {c.kind}")
     if isinstance(c, FiberSum):
-        plus = ClassVector((c.unified,), (1,))
+        plus = ClassVector((c.left_torus,), (1,))
         factor = GroupRingElt.exp(plus) - GroupRingElt.exp(-plus)
         return dense_sw_series(c.left) * dense_sw_series(c.right) * factor * factor
     if isinstance(c, KnotSurgery):

@@ -1,13 +1,15 @@
 """The command line surface: output formats, exit codes, round-trips."""
 
 import json
+import sys
 
 import pytest
 
-from corpus import refused_sw_trees, seeded_chains, sw_trees
+from corpus import CHAIN_KNOTS, rational_chain, refused_sw_trees, seeded_chains, sw_trees
 from dense_oracle import dense_sw_stdout
 from fibersum import BraidWord, fiber_sum_chain, null_log_transform, stable_normal_form, surgered_chain
-from fibersum.cli import construction_to_doc, main, parse_construction
+from fibersum.cli import _emit, construction_to_doc, main, normal_form_text, parse_construction
+from fibersum.errors import UnsupportedNode
 
 TREFOIL_BRAID = {"strands": 2, "word": [1, 1, 1]}
 UNKNOT_BRAID = {"strands": 1, "word": []}
@@ -124,16 +126,19 @@ def test_sw_rational_block_exit_3(tmp_path, capsys, kind):
     assert "rational block" in captured.err
 
 
-# Trees the document grammar can write: a custom unified class has no
-# document field, so that tree is cross-checked in the library tests only.
 CLI_TREES = {
-    name: c
-    for name, c in {
-        **sw_trees(),
-        **{f"seeded chain {i}": c for i, c in enumerate(seeded_chains(20261017))},
-    }.items()
-    if parse_construction(construction_to_doc(c)) == c
+    **sw_trees(),
+    **{f"seeded chain {i}": c for i, c in enumerate(seeded_chains(20261017))},
 }
+
+
+# Every corpus tree, including those the SW engine refuses.
+ALL_TREES = {**CLI_TREES, **{name: c for name, (c, _) in refused_sw_trees().items()}}
+
+
+def test_corpus_trees_round_trip():
+    for name, c in ALL_TREES.items():
+        assert parse_construction(construction_to_doc(c)) == c, name
 
 
 @pytest.mark.parametrize("name", list(CLI_TREES))
@@ -249,7 +254,57 @@ def test_stabilize_json_round_trip(tmp_path, capsys):
     expected = stable_normal_form(
         surgered_chain(1, [BraidWord(2, (1, 1, 1))], unknot, unknot)
     )
-    assert reparsed == expected
+    assert reparsed == rational_chain(*expected)
+
+
+@pytest.mark.parametrize("n", [21, 48])
+def test_stabilize_json_deep_chain(tmp_path, capsys, n):
+    # Deeper than the recursion limit allows a nested tree to be written.
+    assert main(["--json", "stabilize", write(tmp_path, "x.json", {"XN": n})]) == 0
+    out = capsys.readouterr().out
+    assert out.count('{"block": ') == 24 * n
+    assert out.count('{"csum": [') == 24 * n - 1
+
+
+def test_stabilize_text_deep_chain(tmp_path, capsys):
+    assert main(["stabilize", write(tmp_path, "x.json", {"XN": 48})]) == 0
+    assert capsys.readouterr().out == "#192 CP2 # 960 CP2bar\n"
+
+
+def _tree_doc_text(cp2, cp2bar):
+    """_emit(construction_to_doc(...)) of the canonical tree, with the
+    recursion limit raised for its nesting depth."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10 * (cp2 + cp2bar)))
+    try:
+        return _emit(construction_to_doc(rational_chain(cp2, cp2bar))) + "\n"
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_stabilize_json_is_the_tree_document(tmp_path, capsys):
+    knots = [{"strands": b.strands, "word": list(b.word)} for b in CHAIN_KNOTS]
+    docs = {name: construction_to_doc(c) for name, c in ALL_TREES.items()}
+    for n in range(1, 21):
+        docs[f"XN {n}"] = {"XN": n}
+        mid = [knots[(n + i) % len(knots)] for i in range(n)]
+        docs[f"Y {n}"] = y_doc(mid, knots[n % len(knots)], knots[0], n=n)
+    for name, doc in docs.items():
+        path = write(tmp_path, "c.json", doc)
+        try:
+            counts = stable_normal_form(parse_construction(doc))
+        except UnsupportedNode:
+            assert main(["--json", "stabilize", path]) == 3, name
+            assert capsys.readouterr().out == "", name
+            continue
+        assert main(["--json", "stabilize", path]) == 0, name
+        assert capsys.readouterr().out == _tree_doc_text(*counts), name
+
+
+def test_normal_form_text_omits_zero_counts():
+    assert normal_form_text(0, 1) == "#1 CP2bar"
+    assert normal_form_text(1, 0) == "#1 CP2"
+    assert normal_form_text(1, 1) == "#1 CP2 # 1 CP2bar"
 
 
 # ----------------------------------------------------------------- documents

@@ -1,13 +1,16 @@
 """Family generation, comparison verdicts, stabilization normal forms."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import FIGURE_EIGHT, TREFOIL, UNKNOT
+from corpus import FIGURE_EIGHT, TREFOIL, UNKNOT, rational_chain
 from fibersum import (
     DISTINCT,
     INCONCLUSIVE,
     Fingerprint,
     GroupRingElt,
+    available_tori,
     basic_classes,
     block,
     char_numbers,
@@ -15,6 +18,7 @@ from fibersum import (
     distinguish,
     family_generate,
     family_report,
+    fiber_sum,
     fiber_sum_chain,
     fingerprint,
     homotopy_equivalent,
@@ -25,15 +29,8 @@ from fibersum import (
     surgered_chain,
 )
 from fibersum.errors import NotAKnot, UnknownTorus, UnsupportedNode
+from fibersum.manifolds import BLOCK_NAMES
 from fibersum import BraidWord
-
-
-def rational_chain(cp2: int, cp2bar: int):
-    c = block("CP2") if cp2 else block("CP2bar")
-    remaining = ["CP2"] * (cp2 - 1) + ["CP2bar"] * (cp2bar - (0 if cp2 else 1))
-    for kind in remaining:
-        c = connected_sum(c, block(kind))
-    return c
 
 
 # ------------------------------------------------------------------ families
@@ -128,11 +125,11 @@ def sw_series_of_reference():
 
 def test_normal_form_of_surgered_chain():
     y = surgered_chain(1, [TREFOIL], UNKNOT, UNKNOT)
-    assert stable_normal_form(y) == rational_chain(4, 20)
+    assert stable_normal_form(y) == (4, 20)
 
 
 def test_normal_form_of_chain_of_two():
-    assert stable_normal_form(fiber_sum_chain(2)) == rational_chain(8, 40)
+    assert stable_normal_form(fiber_sum_chain(2)) == (8, 40)
 
 
 def test_normal_form_erases_log_transforms():
@@ -144,16 +141,16 @@ def test_normal_form_erases_log_transforms():
 def test_normal_form_idempotent():
     for c in (fiber_sum_chain(1), surgered_chain(1, [TREFOIL], UNKNOT, UNKNOT)):
         once = stable_normal_form(c)
-        assert stable_normal_form(once) == once
+        assert stable_normal_form(rational_chain(*once)) == once
 
 
 def test_normal_form_of_stabilized_chain():
     stabilized = connected_sum(fiber_sum_chain(1), block("S2twS2"))
-    assert stable_normal_form(stabilized) == rational_chain(4, 20)
+    assert stable_normal_form(stabilized) == (4, 20)
 
 
 def test_normal_form_splits_twisted_blocks():
-    assert stable_normal_form(block("S2twS2")) == rational_chain(1, 1)
+    assert stable_normal_form(block("S2twS2")) == (1, 1)
 
 
 def test_normal_form_rejects_unknown_grammar():
@@ -163,6 +160,100 @@ def test_normal_form_rejects_unknown_grammar():
         stable_normal_form(connected_sum(block("K3"), block("CP2")))
     with pytest.raises(UnsupportedNode):
         stable_normal_form(block("S2xS2"))
+
+
+# ------------------------------------------------- normal form properties
+
+KNOTS = (UNKNOT, TREFOIL, FIGURE_EIGHT)
+
+
+def _decorated(draw, c):
+    """c under up to two knot surgeries or null log transforms on
+    available tori; the normal form must see through them."""
+    for _ in range(draw(st.integers(0, 2))):
+        tori = available_tori(c)
+        if not tori:
+            break
+        torus = draw(st.sampled_from(tori))
+        if draw(st.booleans()):
+            c = knot_surgery(c, torus, draw(st.sampled_from(KNOTS)))
+        else:
+            c = null_log_transform(c, torus)
+    return c
+
+
+def _glued(draw, left, right):
+    """The fiber sum of left and right along random available tori."""
+    left_torus = draw(st.sampled_from(available_tori(left)))
+    return fiber_sum(left, left_torus, right, draw(st.sampled_from(available_tori(right))))
+
+
+def _k3_tree(draw, n):
+    """A fiber-sum tree of n K3 blocks of random shape, glued along random
+    available tori, with surgeries and log transforms anywhere."""
+    parts = [_decorated(draw, block("K3", copy=i)) for i in range(1, n + 1)]
+    while len(parts) > 1:
+        i = draw(st.integers(0, len(parts) - 2))
+        parts[i : i + 2] = [_decorated(draw, _glued(draw, *parts[i : i + 2]))]
+    return parts[0]
+
+
+def _summed(draw, parts):
+    """The connected sum of parts, shuffled and nested at random."""
+    parts = list(draw(st.permutations(parts)))
+    while len(parts) > 1:
+        i = draw(st.integers(0, len(parts) - 2))
+        parts[i : i + 2] = [_decorated(draw, connected_sum(*parts[i : i + 2]))]
+    return parts[0]
+
+
+@st.composite
+def stabilized_k3_trees(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 4))
+    tree = _summed(draw, [_k3_tree(draw, n)] + [block("S2twS2")] * m)
+    return tree, (4 * n + max(m - 1, 0), 20 * n + max(m - 1, 0))
+
+
+@st.composite
+def rational_sums(draw):
+    kinds = draw(st.lists(st.sampled_from(["CP2", "CP2bar", "S2twS2"]), min_size=1, max_size=8))
+    twisted = kinds.count("S2twS2")
+    tree = _summed(draw, [block(kind) for kind in kinds])
+    return tree, (kinds.count("CP2") + twisted, kinds.count("CP2bar") + twisted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(stabilized_k3_trees(), rational_sums()))
+def test_property_normal_form_counts(case):
+    tree, expected = case
+    assert stable_normal_form(tree) == expected
+    assert stable_normal_form(rational_chain(*expected)) == expected
+
+
+@st.composite
+def ungrammatical_trees(draw):
+    twisted = [block("S2twS2")] * draw(st.integers(0, 2))
+    chain = _k3_tree(draw, draw(st.integers(1, 3)))
+    case = draw(st.sampled_from(["two chains", "chain and block", "S2xS2", "sum in fiber sum"]))
+    if case == "two chains":
+        return _summed(draw, [chain, _k3_tree(draw, draw(st.integers(1, 3)))] + twisted)
+    if case == "chain and block":
+        kind = draw(st.sampled_from(["CP2", "CP2bar", "S2xS2"]))
+        return _summed(draw, [chain, block(kind)] + twisted)
+    if case == "S2xS2":
+        kinds = draw(st.lists(st.sampled_from(["CP2", "CP2bar", "S2twS2"]), max_size=3))
+        return _summed(draw, [block("S2xS2")] + [block(kind) for kind in kinds])
+    summed = _summed(draw, [chain, block(draw(st.sampled_from(BLOCK_NAMES)))])
+    other = _k3_tree(draw, draw(st.integers(1, 2)))
+    return _decorated(draw, _glued(draw, *draw(st.sampled_from([(summed, other), (other, summed)]))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ungrammatical_trees())
+def test_property_normal_form_rejects_outside_grammar(tree):
+    with pytest.raises(UnsupportedNode, match="outside the stabilization grammar"):
+        stable_normal_form(tree)
 
 
 def test_family_pairwise_matrix_two_slots():
