@@ -17,8 +17,9 @@ Construction documents are JSON trees:
     {"Y": {"N": N, "mid": [BRAID...], "first": BRAID, "last": BRAID}}
 
 with BRAID = {"strands": N, "word": [ints]}.  Parse errors carry a path
-into the document and exit with code 2; unsupported invariant queries
-exit 3; non-knot braids exit 4; other violated preconditions exit 5.
+into the document and exit with code 2; unsupported invariant queries,
+and series too long to write out (over swseries.TERM_BUDGET terms), exit
+3; non-knot braids exit 4; other violated preconditions exit 5.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     CalculusError,
     DocumentError,
     NotAKnot,
+    TooManyTerms,
     UnknownBlock,
     UnsupportedNode,
     UnsupportedSum,
@@ -61,7 +63,8 @@ from .manifolds import (
     null_log_transform,
     surgered_chain,
 )
-from .swseries import sw_report
+from .ring import FactoredSeries
+from .swseries import SWReport, factored_report, require_term_budget, sw_factors
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -232,6 +235,91 @@ def _emit(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(", ", ": "))
 
 
+def sw_lines(report: SWReport, as_json: bool) -> list[str]:
+    """The stdout lines of ``sw`` for a report on a FactoredSeries: the
+    series text and _emit(report.to_json()), or with as_json the one line
+    _emit({"series": ..., "report": report.to_json()}).
+
+    The lines are written straight from the factors, byte for byte as
+    _emit would write them, with no pair dicts and no JSON encoding of
+    the pair list.  The series text is built once and serves line 1 and
+    both "series" fields; the scalar fields go through _emit.
+    """
+    series = report.series
+    text = str(series)
+    if all(_emit(name) == f'"{name}"' for name in series.lattice):
+        quoted = f'"{text}"'  # no torus name needs escaping, so no term does
+    else:
+        quoted = _emit(text)
+    head = _emit(
+        {
+            "a0": report.a0,
+            "coeffs": report.coeff_multiset,
+            "count": report.count,
+            "lattice": series.lattice,
+        }
+    )
+    # The to_json() keys in sorted order: a0, coeffs, count, lattice,
+    # then pairs, rank and series.
+    body = (
+        f'{head[:-1]}, "pairs": [{_pairs_text(series)}], '
+        f'"rank": {_emit(report.rank)}, "series": {quoted}}}'
+    )
+    if as_json:
+        return [f'{{"report": {body}, "series": {quoted}}}']
+    return [text, body]
+
+
+def _pairs_text(series: FactoredSeries) -> str:
+    """The report's "pairs" entries written from the factors: the
+    lexicographically positive class of each pair +-K with its
+    coefficient, in ascending order."""
+    if series.is_zero():
+        return ""
+    axes = [sorted(series.factors[name].terms.items()) for name in series.lattice]
+    out: list[str] = []
+    _positive_pairs(axes, 0, series.scalar(), '{"class": [', out)
+    return ", ".join(out)
+
+
+def _positive_pairs(axes, start: int, scalar: int, lead: str, out: list[str]) -> None:
+    """Append to out the pair objects of the lexicographically positive
+    terms of scalar times the product of axes ((exponent, coefficient)
+    pairs of each factor, in ascending order), in ascending order.
+
+    Every class text starts with lead, and axes[0] is coordinate start of
+    the class.  As in ring._product_terms, the class text of each prefix
+    over the first half of the axes is written once and joined into one
+    template per prefix coefficient that holds the pairs over the second
+    half; the zero prefix recurses on that half, and negative prefixes
+    are skipped.
+    """
+    if not axes:
+        return
+    half = (len(axes) + 1) // 2
+    prefixes = [(lead, scalar, 0)]  # class text, coefficient, sign of the first nonzero
+    for j, terms in enumerate(axes[:half], start):
+        sep = ", " if j else ""
+        prefixes = [
+            (f"{text}{sep}{e}", k * c, sign or (e > 0) - (e < 0))
+            for text, k, sign in prefixes
+            for e, c in terms
+        ]
+    rest = [("", 1)]
+    for terms in axes[half:]:
+        rest = [(f"{text}, {e}", k * c) for text, k in rest for e, c in terms]
+    templates: dict[int, list[str]] = {}
+    for text, k, sign in prefixes:
+        if sign == 0:
+            _positive_pairs(axes[half:], start + half, k, text, out)
+        elif sign > 0:
+            template = templates.get(k)
+            if template is None:
+                *objects, last = [f'{piece}], "coeff": {k * c}}}' for piece, c in rest]
+                template = templates[k] = ["", *(f"{o}, " for o in objects), last]
+            out.append(text.join(template))
+
+
 # ------------------------------------------------------------- subcommands
 
 
@@ -261,13 +349,14 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_sw(args) -> int:
+    """Print the series text and the report JSON (sw_lines).  A series
+    over the term budget is refused before its report is read or
+    anything is written."""
     c = parse_construction(_load_doc(args.file))
-    data = sw_report(c).to_json()
-    if args.json:
-        print(_emit({"series": data["series"], "report": data}))
-    else:
-        print(data["series"])
-        print(_emit(data))
+    series = sw_factors(c)
+    require_term_budget(series)
+    for line in sw_lines(factored_report(series, char_numbers(c)), args.json):
+        print(line)
     return EXIT_OK
 
 
@@ -396,7 +485,7 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (UnsupportedNode, UnsupportedSum) as exc:
+    except (UnsupportedNode, UnsupportedSum, TooManyTerms) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except NotAKnot as exc:

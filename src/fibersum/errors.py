@@ -67,6 +67,10 @@ class BadSignExponent(CalculusError):
     """The conjugation sign needs (chi + sigma) divisible by four."""
 
 
+class TooManyTerms(CalculusError):
+    """Writing the series out term by term would exceed the term budget."""
+
+
 # ---------------------------------------------------------------- cli
 
 class DocumentError(CalculusError):

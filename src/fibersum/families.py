@@ -44,7 +44,13 @@ from .manifolds import (
     fiber_sum_chain,
     knot_surgery,
 )
-from .swseries import SWReport, sw_report
+from .swseries import (
+    SWReport,
+    factored_report,
+    require_term_budget,
+    sw_factors,
+    sw_report,
+)
 
 DISTINCT = "distinct"
 INCONCLUSIVE = "inconclusive"
@@ -188,12 +194,16 @@ def family_report(members: list[Construction]) -> dict:
     Each member's characteristic numbers, SW report and normal form are
     computed once; the pairs compare those.  A normal form is computed
     only for members in a homotopy equivalent pair, as in
-    one_stabilization_equivalent.
+    one_stabilization_equivalent.  Each entry writes its series out, so a
+    member over the term budget is refused (TooManyTerms) before its
+    report is read.
     """
     numbers, fingerprints, entries = [], [], []
     for i, member in enumerate(members):
         cn = char_numbers(member)
-        report = sw_report(member)
+        series = sw_factors(member)
+        require_term_budget(series)
+        report = factored_report(series, cn)
         fp = _fingerprint_of(report)
         numbers.append(cn)
         fingerprints.append(fp)

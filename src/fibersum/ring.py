@@ -558,19 +558,94 @@ class GroupRingElt:
 def _series_text(terms) -> str:
     """Canonical text of a series from (monomial text, coefficient) pairs
     in descending order; an empty monomial is the constant term."""
-    parts = []
-    for mono, c in terms:
+    heads = _Heads()
+    return _joined_terms(
+        [f"{heads[c]}{mono})" if mono else _constant_term(c) for mono, c in terms]
+    )
+
+
+class _Heads(dict):
+    """Coefficient -> the text of a term up to its monomial, in the form
+    of a term after the first: '+ exp(', '- 2*exp('.  Each text is
+    rendered once, on first lookup."""
+
+    def __missing__(self, c):
+        body = "exp(" if abs(c) == 1 else f"{abs(c)}*exp("
+        head = self[c] = f"+ {body}" if c > 0 else f"- {body}"
+        return head
+
+
+def _constant_term(c: int) -> str:
+    return f"+ {c}" if c > 0 else f"- {-c}"
+
+
+def _joined_terms(parts: list[str]) -> str:
+    """Join term texts written in the form of a term after the first
+    ('+ x', '- x'), rewriting the first one as 'x' or '-x'."""
+    if not parts:
+        return "0"
+    first = parts[0]
+    parts[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
+    return " ".join(parts)
+
+
+def _exponent_steps(name: str, terms) -> list[tuple[int, int, str, str]]:
+    """(exponent, coefficient, text as the first piece of a monomial, text
+    as a later piece) for each (exponent, coefficient) of a factor in the
+    class called name."""
+    steps = []
+    for e, c in terms:
+        body = name if abs(e) == 1 else f"{abs(e)}*{name}"
+        first, later = (body, f"+ {body}") if e > 0 else (f"-{body}", f"- {body}")
+        steps.append((e, c, first, later))
+    return steps
+
+
+def _product_terms(axes, scalar: int, heads: _Heads, out: list[str]) -> None:
+    """Append to out the texts of the terms of scalar times the product of
+    axes, in descending order and in the form of terms after the first.
+
+    axes holds the _exponent_steps of each factor, in descending order of
+    exponent.  The monomial of each prefix over the first half of the
+    axes is written once.  For each prefix coefficient k, one template
+    holds the terms over the second half with their coefficient heads, so
+    the terms of a prefix are one str.join of its monomial into the
+    template.  The zero prefix, whose terms start their monomial in the
+    second half, recurses on that half.
+    """
+    if not axes:
+        out.append(_constant_term(scalar))
+        return
+    half = (len(axes) + 1) // 2
+    prefixes = [("", scalar)]
+    for steps in axes[:half]:
+        prefixes = [
+            (mono if not e else f"{mono} {later}" if mono else first, k * c)
+            for mono, k in prefixes
+            for e, c, first, later in steps
+        ]
+    rest = [("", 1)]
+    for steps in axes[half:]:
+        rest = [
+            (f"{text} {later}" if e else text, k * c)
+            for text, k in rest
+            for e, c, _, later in steps
+        ]
+    closes = [f"{text})" for text, _ in rest]
+    templates: dict[int, list[str]] = {}
+    for mono, k in prefixes:
         if not mono:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = f"exp({mono})"
-        else:
-            body = f"{abs(c)}*exp({mono})"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) or "0"
+            _product_terms(axes[half:], k, heads, out)
+            continue
+        template = templates.get(k)
+        if template is None:
+            head, *others = [heads[k * c] for _, c in rest]
+            template = templates[k] = [
+                head,
+                *(f"{close} {other}" for close, other in zip(closes, others)),
+                closes[-1],
+            ]
+        out.append(mono.join(template))
 
 
 def _split_signed_terms(s: str):
@@ -680,7 +755,14 @@ class FactoredSeries:
             out *= f.coeff(0)
         return out
 
-    def _scalar(self) -> int:
+    def term_count(self) -> int:
+        """Number of terms of the expansion: the product of the factors'
+        support sizes."""
+        if self.factors is None:
+            return 0
+        return math.prod(len(f.terms) for f in self.factors.values())
+
+    def scalar(self) -> int:
         """Product of the constant factors."""
         lattice = set(self.lattice)
         out = 1
@@ -689,15 +771,13 @@ class FactoredSeries:
                 out *= f.coeff(0)
         return out
 
-    def sorted_terms(self, descending: bool = False):
+    def sorted_terms(self):
         """(exponent vector over self.lattice, coefficient) for every term,
-        in lexicographic order."""
+        in ascending lexicographic order."""
         if self.factors is None:
             return
-        scalar = self._scalar()
-        exponents = [
-            sorted(self.factors[n].terms, reverse=descending) for n in self.lattice
-        ]
+        scalar = self.scalar()
+        exponents = [sorted(self.factors[n].terms) for n in self.lattice]
         coeffs = [
             [self.factors[n].terms[e] for e in exps]
             for n, exps in zip(self.lattice, exponents)
@@ -710,25 +790,20 @@ class FactoredSeries:
         return GroupRingElt(self.lattice, dict(self.sorted_terms()))
 
     def __str__(self):
-        """Same text as str() of the expansion, built term by term with
-        each monomial's text shared by all terms that extend it."""
+        """Same text as str() of the expansion, written from the factors
+        without expanding: each factor's exponent texts and each
+        coefficient's sign and magnitude text are rendered once, and the
+        terms are joined in blocks that share a monomial prefix (see
+        _product_terms)."""
         if self.factors is None:
             return "0"
-        terms = [("", self._scalar())]
-        for name in self.lattice:
-            f = self.factors[name]
-            steps = []
-            for e in sorted(f.terms, reverse=True):
-                body = name if abs(e) == 1 else f"{abs(e)}*{name}"
-                first = body if e > 0 else f"-{body}"
-                later = f"+ {body}" if e > 0 else f"- {body}"
-                steps.append((e, f.terms[e], first, later))
-            terms = [
-                (mono if not e else f"{mono} {later}" if mono else first, coeff * c)
-                for mono, coeff in terms
-                for e, c, first, later in steps
-            ]
-        return _series_text(terms)
+        axes = [
+            _exponent_steps(name, sorted(self.factors[name].terms.items(), reverse=True))
+            for name in self.lattice
+        ]
+        parts: list[str] = []
+        _product_terms(axes, self.scalar(), _Heads(), parts)
+        return _joined_terms(parts)
 
     def __eq__(self, other):
         if isinstance(other, FactoredSeries):

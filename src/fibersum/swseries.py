@@ -27,7 +27,13 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import AsymmetricSeries, BadSignExponent, UnsupportedNode, UnsupportedSum
+from .errors import (
+    AsymmetricSeries,
+    BadSignExponent,
+    TooManyTerms,
+    UnsupportedNode,
+    UnsupportedSum,
+)
 from .knots import BraidWord, alexander
 from .linalg import integer_rank
 from .manifolds import (
@@ -45,6 +51,9 @@ from .ring import ClassVector, FactoredSeries, GroupRingElt, LaurentPoly, substi
 
 # t - t^-1 at t = exp(T): the fiber-sum factor before squaring.
 FIBER_POLY = LaurentPoly({1: 1, -1: -1})
+
+# Most terms a series may have for its text to be written out.
+TERM_BUDGET = 10**6
 
 
 def _surgery_poly(braid: BraidWord) -> LaurentPoly:
@@ -87,6 +96,16 @@ def sw_factors(c: Construction) -> FactoredSeries:
             "no gluing formula for a null log transform: " + debug_string(c)
         )
     raise TypeError(f"not a construction node: {c!r}")
+
+
+def require_term_budget(series: FactoredSeries) -> None:
+    """Refuse a series with more than TERM_BUDGET terms, counted from the
+    factors before anything is expanded or written."""
+    terms = series.term_count()
+    if terms > TERM_BUDGET:
+        raise TooManyTerms(
+            f"the series has {terms} terms, over the budget of {TERM_BUDGET}"
+        )
 
 
 def sw_series(c: Construction) -> GroupRingElt:
@@ -191,6 +210,10 @@ class SWReport:
     (2 per pair +-K); rank is the rank of the integer span of the classes;
     coeff_multiset lists |coefficient| once per pair, sorted.  The pairs
     themselves are read off the series on demand.
+
+    to_json() is the library's dict view, one dict per pair.  The ``sw``
+    command does not build it: cli.sw_lines writes the same bytes
+    straight from the factors.
     """
 
     series: GroupRingElt | FactoredSeries
@@ -277,10 +300,8 @@ def factored_report(series: FactoredSeries, cn: CharNumbers) -> SWReport:
     if series.is_zero():
         return SWReport(series, 0, 0, 0, ())
     a0 = series.constant_coeff()
-    size = 1
     runs = Counter({1: 1})  # |coefficient| -> number of terms
     for f in series.factors.values():
-        size *= len(f.terms)
         grown: Counter = Counter()
         for value, mult in runs.items():
             for c in f.terms.values():
@@ -288,8 +309,13 @@ def factored_report(series: FactoredSeries, cn: CharNumbers) -> SWReport:
         runs = grown
     if a0:
         runs[abs(a0)] -= 1
-    coeffs = tuple(v for v in sorted(runs) for _ in range(runs[v] // 2))
-    return SWReport(series, a0, size - (a0 != 0), len(series.lattice), coeffs)
+    coeffs = tuple(
+        itertools.chain.from_iterable(
+            itertools.repeat(v, runs[v] // 2) for v in sorted(runs)
+        )
+    )
+    count = series.term_count() - (a0 != 0)
+    return SWReport(series, a0, count, len(series.lattice), coeffs)
 
 
 def reconstruct_series(report: SWReport, cn: CharNumbers) -> GroupRingElt:
@@ -316,6 +342,7 @@ __all__ = [
     "factored_report",
     "fiber_class_factor",
     "reconstruct_series",
+    "require_term_budget",
     "sw_factors",
     "sw_first_power_formula",
     "sw_report",

@@ -4,8 +4,9 @@
 ``fibersum.sw_factors`` but multiplies full group-ring elements at every
 node, building each factor from the Alexander polynomial directly.
 ``dense_sw_stdout`` renders the ``fibersum sw`` output from the dense
-series: terms sorted by exponent vector, pairs filtered by lexicographic
-sign, rank from ``integer_rank``.  Neither reads a FactoredSeries, so the
+series (``report_stdout`` from any dense report): terms sorted by
+exponent vector, pairs filtered by lexicographic sign, rank from
+``integer_rank``, and every line encoded by ``json.dumps``.  Neither reads a FactoredSeries, so the
 factored engine and its term-by-term output are checked against an
 independent route.
 """
@@ -105,9 +106,9 @@ def dense_report_json(series: GroupRingElt, cn) -> dict:
     }
 
 
-def dense_sw_stdout(c, as_json: bool) -> str:
-    """Expected stdout of ``fibersum [--json] sw`` for the tree c."""
-    report = dense_report_json(oracle_series(c), char_numbers(c))
+def report_stdout(report: dict, as_json: bool) -> str:
+    """Expected stdout of ``fibersum [--json] sw`` for a report dict as
+    dense_report_json gives it."""
 
     def emit(data):
         return json.dumps(data, sort_keys=True, separators=(", ", ": "))
@@ -115,3 +116,8 @@ def dense_sw_stdout(c, as_json: bool) -> str:
     if as_json:
         return emit({"series": report["series"], "report": report}) + "\n"
     return report["series"] + "\n" + emit(report) + "\n"
+
+
+def dense_sw_stdout(c, as_json: bool) -> str:
+    """Expected stdout of ``fibersum [--json] sw`` for the tree c."""
+    return report_stdout(dense_report_json(oracle_series(c), char_numbers(c)), as_json)

@@ -2,13 +2,23 @@
 
 import json
 import sys
+import time
 
 import pytest
 
 from corpus import CHAIN_KNOTS, rational_chain, refused_sw_trees, seeded_chains, sw_trees
-from dense_oracle import dense_sw_stdout
-from fibersum import BraidWord, fiber_sum_chain, null_log_transform, stable_normal_form, surgered_chain
+from dense_oracle import dense_sw_stdout, dense_text
+from fibersum import (
+    BraidWord,
+    fiber_sum_chain,
+    null_log_transform,
+    stable_normal_form,
+    surgered_chain,
+    sw_factors,
+    sw_report,
+)
 from fibersum.cli import _emit, construction_to_doc, main, normal_form_text, parse_construction
+from fibersum import swseries
 from fibersum.errors import UnsupportedNode
 
 TREFOIL_BRAID = {"strands": 2, "word": [1, 1, 1]}
@@ -151,6 +161,47 @@ def test_sw_stdout_matches_dense_oracle(tmp_path, capsys, name):
     assert capsys.readouterr().out == dense_sw_stdout(c, as_json=True)
 
 
+def test_sw_chain_of_five_matches_report_json(tmp_path, capsys):
+    # Ten factors of three terms (the unknot's factor is 1): 59,049 terms.
+    # The writer's bytes against the dense expansion and the library's
+    # dict view, each encoded by json.dumps.
+    knots = [BraidWord(2, (1, 1, 1)), BraidWord(3, (1, -2, 1, -2))] * 3
+    c = surgered_chain(5, knots[:5], BraidWord(1, ()), knots[1])
+    assert sw_factors(c).term_count() == 59_049
+    assert main(["sw", write(tmp_path, "c.json", construction_to_doc(c))]) == 0
+    report = json.dumps(sw_report(c).to_json(), sort_keys=True, separators=(", ", ": "))
+    assert capsys.readouterr().out == f"{dense_text(sw_factors(c).expand())}\n{report}\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_sw_over_term_budget_exit_3(tmp_path, capsys, flags):
+    start = time.perf_counter()
+    code = main(flags + ["sw", write(tmp_path, "x.json", {"XN": 14})])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    assert elapsed < 1.0
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the series has 1594323 terms, over the budget of 1000000\n"
+    )
+
+
+def test_term_budget_boundary(tmp_path, capsys, monkeypatch):
+    # The series of {"XN": 3} has 3 * 3 = 9 terms.
+    path = write(tmp_path, "x.json", {"XN": 3})
+    monkeypatch.setattr(swseries, "TERM_BUDGET", 9)
+    for flags in ([], ["--json"]):
+        assert main(flags + ["sw", path]) == 0
+        assert capsys.readouterr().out == dense_sw_stdout(fiber_sum_chain(3), flags != [])
+    monkeypatch.setattr(swseries, "TERM_BUDGET", 8)
+    for flags in ([], ["--json"]):
+        assert main(flags + ["sw", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the series has 9 terms, over the budget of 8\n"
+
+
 @pytest.mark.parametrize("name", sorted(refused_sw_trees()))
 def test_sw_refused_trees_exit_3(tmp_path, capsys, name):
     c, _ = refused_sw_trees()[name]
@@ -200,6 +251,20 @@ def test_family_report(tmp_path, capsys):
     assert data["pairwise"] == [
         {"distinct": True, "homotopy": True, "i": 0, "j": 1, "one_stab": True}
     ]
+
+
+def test_family_term_budget(tmp_path, capsys, monkeypatch):
+    # Members on a 2-chain: 3 terms with the unknot, 9 with the trefoil.
+    slots = write(tmp_path, "s.json", {"T[1,2]": [UNKNOT_BRAID, TREFOIL_BRAID]})
+    monkeypatch.setattr(swseries, "TERM_BUDGET", 9)
+    assert main(["family", "--N", "2", "--slots", slots]) == 0
+    members = json.loads(capsys.readouterr().out)["members"]
+    assert [m["sw_string"].count("exp(") for m in members] == [2, 8]
+    monkeypatch.setattr(swseries, "TERM_BUDGET", 8)
+    assert main(["family", "--N", "2", "--slots", slots]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the series has 9 terms, over the budget of 8\n"
 
 
 def test_family_unknown_torus_exit_5(tmp_path, capsys):

@@ -16,7 +16,13 @@ from corpus import (
     seeded_chains,
     sw_trees,
 )
-from dense_oracle import dense_report_json, dense_sw_series, oracle_series
+from dense_oracle import (
+    dense_report_json,
+    dense_sw_series,
+    dense_text,
+    oracle_series,
+    report_stdout,
+)
 from fibersum import (
     ClassVector,
     FactoredSeries,
@@ -43,6 +49,7 @@ from fibersum import (
     sw_series,
     alexander_oracle,
 )
+from fibersum.cli import sw_lines
 from fibersum.errors import (
     AsymmetricSeries,
     BadSignExponent,
@@ -385,12 +392,17 @@ def _signed_poly(draw_half, center, sign):
 half_polys = st.dictionaries(st.integers(1, 3), st.integers(-3, 3).filter(bool), max_size=2)
 
 
+# Class names: plain, and ones that JSON must escape (a quote, non-ASCII).
+class_names = st.sampled_from(["C", "C\"", "C\u00e9"])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(half_polys, st.integers(-2, 2), st.sampled_from([1, -1])),
-                min_size=0, max_size=4))
-def test_property_factored_report_equals_dense_reader(specs):
+                min_size=0, max_size=4),
+       class_names)
+def test_property_factored_report_equals_dense_reader(specs, name):
     factors = {
-        f"C{i}": _signed_poly(half, center, sign)
+        f"{name}{i}": _signed_poly(half, center, sign)
         for i, (half, center, sign) in enumerate(specs)
     }
     series = FactoredSeries(factors)
@@ -403,7 +415,12 @@ def test_property_factored_report_equals_dense_reader(specs):
     dense = basic_classes(series.expand(), cn)
     assert report == dense
     assert report.to_json() == dense.to_json()
-    assert report.to_json() == dense_report_json(series.expand(), cn)
+    expected = dense_report_json(series.expand(), cn)
+    assert report.to_json() == expected
+    assert str(series) == str(series.expand()) == dense_text(series.expand())
+    for as_json in (False, True):
+        written = "".join(line + "\n" for line in sw_lines(report, as_json))
+        assert written == report_stdout(expected, as_json)
 
 
 @settings(max_examples=150, deadline=None)
