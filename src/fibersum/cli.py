@@ -63,7 +63,7 @@ from .manifolds import (
     null_log_transform,
     surgered_chain,
 )
-from .ring import FactoredSeries
+from .ring import FactoredSeries, product_terms
 from .swseries import SWReport, factored_report, require_term_budget, sw_factors
 
 EXIT_OK = 0
@@ -242,15 +242,13 @@ def sw_lines(report: SWReport, as_json: bool) -> list[str]:
 
     The lines are written straight from the factors, byte for byte as
     _emit would write them, with no pair dicts and no JSON encoding of
-    the pair list.  The series text is built once and serves line 1 and
-    both "series" fields; the scalar fields go through _emit.
+    the pair list.  The series text is built and encoded once and serves
+    line 1 and both "series" fields; it and the scalar fields go through
+    _emit.
     """
     series = report.series
     text = str(series)
-    if all(_emit(name) == f'"{name}"' for name in series.lattice):
-        quoted = f'"{text}"'  # no torus name needs escaping, so no term does
-    else:
-        quoted = _emit(text)
+    quoted = _emit(text)
     head = _emit(
         {
             "a0": report.a0,
@@ -273,51 +271,24 @@ def sw_lines(report: SWReport, as_json: bool) -> list[str]:
 def _pairs_text(series: FactoredSeries) -> str:
     """The report's "pairs" entries written from the factors: the
     lexicographically positive class of each pair +-K with its
-    coefficient, in ascending order."""
+    coefficient, in ascending order (ring.product_terms)."""
     if series.is_zero():
         return ""
-    axes = [sorted(series.factors[name].terms.items()) for name in series.lattice]
-    out: list[str] = []
-    _positive_pairs(axes, 0, series.scalar(), '{"class": [', out)
-    return ", ".join(out)
-
-
-def _positive_pairs(axes, start: int, scalar: int, lead: str, out: list[str]) -> None:
-    """Append to out the pair objects of the lexicographically positive
-    terms of scalar times the product of axes ((exponent, coefficient)
-    pairs of each factor, in ascending order), in ascending order.
-
-    Every class text starts with lead, and axes[0] is coordinate start of
-    the class.  As in ring._product_terms, the class text of each prefix
-    over the first half of the axes is written once and joined into one
-    template per prefix coefficient that holds the pairs over the second
-    half; the zero prefix recurses on that half, and negative prefixes
-    are skipped.
-    """
-    if not axes:
-        return
-    half = (len(axes) + 1) // 2
-    prefixes = [(lead, scalar, 0)]  # class text, coefficient, sign of the first nonzero
-    for j, terms in enumerate(axes[:half], start):
+    axes = []
+    for j, name in enumerate(series.lattice):
         sep = ", " if j else ""
-        prefixes = [
-            (f"{text}{sep}{e}", k * c, sign or (e > 0) - (e < 0))
-            for text, k, sign in prefixes
-            for e, c in terms
-        ]
-    rest = [("", 1)]
-    for terms in axes[half:]:
-        rest = [(f"{text}, {e}", k * c) for text, k in rest for e, c in terms]
-    templates: dict[int, list[str]] = {}
-    for text, k, sign in prefixes:
-        if sign == 0:
-            _positive_pairs(axes[half:], start + half, k, text, out)
-        elif sign > 0:
-            template = templates.get(k)
-            if template is None:
-                *objects, last = [f'{piece}], "coeff": {k * c}}}' for piece, c in rest]
-                template = templates[k] = ["", *(f"{o}, " for o in objects), last]
-            out.append(text.join(template))
+        terms = sorted(series.factors[name].terms.items())
+        axes.append([(e, c, f"{sep}{e}", f"{sep}{e}") for e, c in terms])
+    out: list[str] = []
+    product_terms(
+        axes,
+        series.scalar(),
+        lambda k: ('{"class": [', f'], "coeff": {k}}}'),
+        ", ",
+        out,
+        positive_only=True,
+    )
+    return ", ".join(out)
 
 
 # ------------------------------------------------------------- subcommands

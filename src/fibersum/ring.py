@@ -589,63 +589,82 @@ def _joined_terms(parts: list[str]) -> str:
     return " ".join(parts)
 
 
-def _exponent_steps(name: str, terms) -> list[tuple[int, int, str, str]]:
-    """(exponent, coefficient, text as the first piece of a monomial, text
-    as a later piece) for each (exponent, coefficient) of a factor in the
-    class called name."""
-    steps = []
-    for e, c in terms:
-        body = name if abs(e) == 1 else f"{abs(e)}*{name}"
-        first, later = (body, f"+ {body}") if e > 0 else (f"-{body}", f"- {body}")
-        steps.append((e, c, first, later))
-    return steps
+def product_terms(
+    axes,
+    scalar: int,
+    ends,
+    sep: str,
+    out: list[str],
+    *,
+    constant=None,
+    positive_only: bool = False,
+    lead: str = "",
+) -> None:
+    """Append to out the text of each term of scalar times the product of
+    axes, in the order of the axes.
 
+    axes holds, for each factor, its (exponent, coefficient, first, later)
+    in the order wanted: first is the exponent's text in a term whose
+    earlier exponents are all zero, later its text otherwise.  A term with
+    coefficient k is written as open, its exponent texts and close, where
+    (open, close) = ends(k); lead is the text of exponents written before
+    the first axis, all zero.  A term whose exponents are all zero is
+    written as constant(k), or skipped when constant is None.  With
+    positive_only, the terms whose first nonzero exponent is negative are
+    skipped too.
 
-def _product_terms(axes, scalar: int, heads: _Heads, out: list[str]) -> None:
-    """Append to out the texts of the terms of scalar times the product of
-    axes, in descending order and in the form of terms after the first.
-
-    axes holds the _exponent_steps of each factor, in descending order of
-    exponent.  The monomial of each prefix over the first half of the
-    axes is written once.  For each prefix coefficient k, one template
-    holds the terms over the second half with their coefficient heads, so
-    the terms of a prefix are one str.join of its monomial into the
-    template.  The zero prefix, whose terms start their monomial in the
-    second half, recurses on that half.
+    The text of each prefix over the first half of the axes is written
+    once.  For each prefix coefficient k, one template holds the terms
+    over the second half, joined by sep, so the terms of a prefix are one
+    str.join of its text into the template.  The zero prefix, whose
+    terms take their first exponent text in the second half, recurses on
+    that half with its text as lead.
     """
     if not axes:
-        out.append(_constant_term(scalar))
+        if constant is not None:
+            out.append(constant(scalar))
         return
     half = (len(axes) + 1) // 2
-    prefixes = [("", scalar)]
+    prefixes = [(lead, scalar, 0)]  # text, coefficient, sign of the first nonzero
     for steps in axes[:half]:
         prefixes = [
-            (mono if not e else f"{mono} {later}" if mono else first, k * c)
-            for mono, k in prefixes
+            (f"{text}{later if sign else first}", k * c, sign or (e > 0) - (e < 0))
+            for text, k, sign in prefixes
             for e, c, first, later in steps
         ]
     rest = [("", 1)]
     for steps in axes[half:]:
         rest = [
-            (f"{text} {later}" if e else text, k * c)
-            for text, k in rest
-            for e, c, _, later in steps
+            (f"{text}{later}", k * c) for text, k in rest for _, c, _, later in steps
         ]
-    closes = [f"{text})" for text, _ in rest]
     templates: dict[int, list[str]] = {}
-    for mono, k in prefixes:
-        if not mono:
-            _product_terms(axes[half:], k, heads, out)
+    for text, k, sign in prefixes:
+        if not sign:
+            product_terms(
+                axes[half:],
+                k,
+                ends,
+                sep,
+                out,
+                constant=constant,
+                positive_only=positive_only,
+                lead=text,
+            )
+            continue
+        if sign < 0 and positive_only:
             continue
         template = templates.get(k)
         if template is None:
-            head, *others = [heads[k * c] for _, c in rest]
+            texts = [(tail, *ends(k * c)) for tail, c in rest]  # tail, open, close
             template = templates[k] = [
-                head,
-                *(f"{close} {other}" for close, other in zip(closes, others)),
-                closes[-1],
+                texts[0][1],
+                *[
+                    f"{tail}{close}{sep}{following}"
+                    for (tail, _, close), (_, following, _) in zip(texts, texts[1:])
+                ],
+                f"{texts[-1][0]}{texts[-1][2]}",
             ]
-        out.append(mono.join(template))
+        out.append(text.join(template))
 
 
 def _split_signed_terms(s: str):
@@ -794,15 +813,31 @@ class FactoredSeries:
         without expanding: each factor's exponent texts and each
         coefficient's sign and magnitude text are rendered once, and the
         terms are joined in blocks that share a monomial prefix (see
-        _product_terms)."""
+        product_terms)."""
         if self.factors is None:
             return "0"
-        axes = [
-            _exponent_steps(name, sorted(self.factors[name].terms.items(), reverse=True))
-            for name in self.lattice
-        ]
+        axes = []
+        for name in self.lattice:
+            steps = []
+            for e, c in sorted(self.factors[name].terms.items(), reverse=True):
+                body = name if abs(e) == 1 else f"{abs(e)}*{name}"
+                if not e:
+                    steps.append((e, c, "", ""))
+                elif e > 0:
+                    steps.append((e, c, body, f" + {body}"))
+                else:
+                    steps.append((e, c, f"-{body}", f" - {body}"))
+            axes.append(steps)
+        heads = _Heads()
         parts: list[str] = []
-        _product_terms(axes, self.scalar(), _Heads(), parts)
+        product_terms(
+            axes,
+            self.scalar(),
+            lambda k: (heads[k], ")"),
+            " ",
+            parts,
+            constant=_constant_term,
+        )
         return _joined_terms(parts)
 
     def __eq__(self, other):
