@@ -11,13 +11,13 @@ the dense group-ring element is expanded only when asked for.
 
 from fibersum import (
     BraidWord,
-    GroupRingElt,
+    FactoredSeries,
+    LaurentPoly,
     basic_classes,
     block,
     char_numbers,
     check_conjugation_symmetry,
     connected_sum,
-    fiber_class_factor,
     fiber_sum_chain,
     fingerprint,
     knot_surgery,
@@ -48,7 +48,7 @@ print(" ", series)
 report = basic_classes(series, char_numbers(y))
 print("  a0 =", report.a0)
 print("  basic classes:", report.count, "| rank:", report.rank,
-      "| coefficient multiset:", list(report.coeff_multiset))
+      "| coefficient runs (|coeff|, pairs):", list(report.coeff_runs))
 for cv, coeff in report.basic_pairs:
     print(f"    {str(cv):<28} coefficient {coeff}")
 print("  conjugation-symmetric:",
@@ -63,6 +63,7 @@ for name, factor in sorted(sw_factors(y).factors.items()):
 big = surgered_chain(6, [trefoil] * 6, trefoil, trefoil)
 fp = fingerprint(big)
 print(f"fingerprint of a 6-chain of trefoils: count={fp.count} rank={fp.rank} a0={fp.a0}")
+print("  coefficient runs (|coeff|, pairs):", list(fp.coeff_runs))
 
 # Stabilizing kills the invariant: the series of X # S2twS2 is zero.
 stabilized = connected_sum(y, block("S2twS2"))
@@ -70,14 +71,15 @@ print("\nSW after one stabilization =", sw_series(stabilized))
 
 # Two conventions for the fiber-sum factor exist: the engine squares it
 # (iterating the gluing rule forces that); the first-power closed form is
-# also implemented.  Their exact ratio is the product of the bare factors.
+# also implemented, as factors.  Their exact ratio is the product of the
+# bare factors t - t^-1 at t = exp(T[alpha,3]).
 n = 3
 unknots = [unknot] * n
 engine = sw_series(surgered_chain(n, unknots, unknot, unknot))
 printed = sw_first_power_formula(n, unknots, unknot, unknot)
-ratio = GroupRingElt.one()
+ratio = FactoredSeries.one()
 for alpha in range(1, n):
-    ratio = ratio * fiber_class_factor(f"T[{alpha},3]")
+    ratio = ratio.times(f"T[{alpha},3]", LaurentPoly({1: 1, -1: -1}))
 print("\nengine (N=3, unknots)      =", engine)
 print("first-power formula        =", printed)
 print("engine == formula * ratio  :", engine == printed * ratio)

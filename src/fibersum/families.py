@@ -10,8 +10,9 @@ fingerprints tell them apart whenever the Alexander data differs.
 Distinctness always goes through the automorphism-invariant Fingerprint,
 never raw series equality: a diffeomorphism may relabel torus classes, so
 only unordered data (class count, span rank, coefficient multiset, a0)
-may be compared.  Equal fingerprints certify nothing, hence the verdict
-"inconclusive".
+may be compared.  The multiset is kept as the (value, pairs) runs that
+the factors give, so comparing never expands a series.  Equal
+fingerprints certify nothing, hence the verdict "inconclusive".
 
 The normal form encodes proved diffeomorphisms as rewrites and nothing
 else: knot surgeries and null log transforms are erased (each is undone
@@ -58,12 +59,17 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Relabeling-invariant summary of a Seiberg-Witten series."""
+    """Relabeling-invariant summary of a Seiberg-Witten series: class
+    count, span rank, the |coefficient| multiset as sorted (value, pairs)
+    runs, and a0.  Equality compares the runs; coeff_multiset expands
+    them on request, as SWReport's does."""
 
     count: int
     rank: int
-    coeff_multiset: tuple[int, ...]
+    coeff_runs: tuple[tuple[int, int], ...]
     a0: int
+
+    coeff_multiset = SWReport.coeff_multiset
 
 
 def fingerprint(c: Construction) -> Fingerprint:
@@ -71,7 +77,7 @@ def fingerprint(c: Construction) -> Fingerprint:
 
 
 def _fingerprint_of(report: SWReport) -> Fingerprint:
-    return Fingerprint(report.count, report.rank, report.coeff_multiset, report.a0)
+    return Fingerprint(report.count, report.rank, report.coeff_runs, report.a0)
 
 
 # ---------------------------------------------------------------- families

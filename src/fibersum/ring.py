@@ -231,8 +231,7 @@ class LaurentPoly:
         if s == "0":
             return cls.zero()
         out: dict[int, int] = {}
-        # Split on + and - that are not part of an exponent ("t^-2").
-        for sign, body in _split_poly_terms(s):
+        for sign, body in _split_signed_terms(s):
             if re.fullmatch(r"\d+", body):
                 e, c = 0, int(body)
             else:
@@ -243,35 +242,6 @@ class LaurentPoly:
                 e = int(m.group(2)) if m.group(2) else 1
             out[e] = out.get(e, 0) + sign * c
         return cls(out)
-
-
-def _split_poly_terms(s: str):
-    """Split 'a - b + c' into (sign, body) pairs, keeping the sign of an
-    exponent ('t^-2') attached to its term."""
-    out = []
-    sign = 1
-    buf: list[str] = []
-    i = 0
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    while i < len(s):
-        ch = s[i]
-        if ch in "+-" and buf and "".join(buf).rstrip()[-1:] != "^":
-            body = "".join(buf).strip()
-            if not body:
-                raise ValueError(f"dangling sign in {s!r}")
-            out.append((sign, body))
-            sign = -1 if ch == "-" else 1
-            buf = []
-        else:
-            buf.append(ch)
-        i += 1
-    body = "".join(buf).strip()
-    if not body:
-        raise ValueError(f"dangling sign in {s!r}")
-    out.append((sign, body))
-    return out
 
 
 @dataclass(frozen=True)
@@ -382,28 +352,14 @@ class GroupRingElt:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, cv: ClassVector) -> int:
-        lattice, map_s, map_v = _merge_lattices(self.lattice, cv.lattice)
-        size = len(lattice)
-        target = _relocate(cv.coords, map_v, size)
-        for vec, c in self.terms.items():
-            if _relocate(vec, map_s, size) == target:
-                return c
-        return 0
-
     def constant_coeff(self) -> int:
         zero = (0,) * len(self.lattice)
         return self.terms.get(zero, 0)
 
-    def support(self):
-        """Nonzero exponent vectors as ClassVectors, in descending
-        lexicographic order (canonical term order)."""
-        zero = (0,) * len(self.lattice)
-        return tuple(
-            ClassVector(self.lattice, vec)
-            for vec in sorted(self.terms, reverse=True)
-            if vec != zero
-        )
+    def sorted_terms(self):
+        """(exponent vector, coefficient) for every term, in ascending
+        lexicographic order."""
+        return sorted(self.terms.items())
 
     def pruned(self) -> "GroupRingElt":
         """Drop lattice symbols that no term touches (canonical form)."""
@@ -668,8 +624,9 @@ def product_terms(
 
 
 def _split_signed_terms(s: str):
-    """Split 'a - b + c' into (sign, body) pairs at top level (no parens
-    nesting deeper than one exp(...) occurs in canonical output)."""
+    """Split 'a - b + c' into (sign, body) pairs.  A sign inside
+    parentheses ('exp(T1 - T2)') or right after '^' (the exponent in
+    't^-2') stays in its term."""
     out = []
     depth = 0
     sign = 1
@@ -684,7 +641,7 @@ def _split_signed_terms(s: str):
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch in "+-" and depth == 0:
+        if ch in "+-" and depth == 0 and "".join(buf).rstrip()[-1:] != "^":
             body = "".join(buf).strip()
             if not body:
                 raise ValueError(f"dangling sign in {s!r}")

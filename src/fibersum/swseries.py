@@ -7,18 +7,23 @@ multiplies by Delta_K(exp(2T)), the knot's symmetric Alexander
 polynomial evaluated at twice the torus class.  Every rule multiplies by
 a polynomial in a single class, so the series is kept as a
 FactoredSeries, one Laurent polynomial per class, and the report is read
-off the factors; ``sw_series`` expands it on request.  Connected sums are
-supported only in the vanishing case (both summands with positive b2+),
-where the series is 0; anything needing a blow-up formula is refused, as
-is a rational block outside a vanishing sum (no formula gives its value).
-Null log transforms are refused outright: no formula exists for them,
-which is the point of comparing across that move.
+off the factors: its |coefficient| multiset is kept as runs of
+(value, pairs), convolved factor by factor, and its symmetry is checked
+per factor.  ``sw_series`` expands the series on request, and
+``basic_classes`` reads a report off a dense series, as a reference.
+Connected sums are supported only in the vanishing case (both summands
+with positive b2+), where the series is 0; anything needing a blow-up
+formula is refused, as is a rational block outside a vanishing sum (no
+formula gives its value).  Null log transforms are refused outright: no
+formula exists for them, which is the point of comparing across that
+move.
 
 The fiber-sum factor is applied squared, which is what iterating the
 gluing rule forces.  A widely quoted closed form uses the same product
-with first powers; ``sw_first_power_formula`` evaluates that variant so
-the exact ratio between the two conventions can be machine-checked
-(see tests/test_acceptance.py, documented-discrepancy criterion).
+with first powers; ``sw_first_power_formula`` gives that variant, as a
+FactoredSeries, so the exact ratio between the two conventions can be
+machine-checked (see tests/test_acceptance.py, documented-discrepancy
+criterion).
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .manifolds import (
     char_numbers,
     debug_string,
 )
-from .ring import ClassVector, FactoredSeries, GroupRingElt, LaurentPoly, substitute_exp
+from .ring import ClassVector, FactoredSeries, GroupRingElt, LaurentPoly
 
 # t - t^-1 at t = exp(T): the fiber-sum factor before squaring.
 FIBER_POLY = LaurentPoly({1: 1, -1: -1})
@@ -59,11 +64,6 @@ TERM_BUDGET = 10**6
 def _surgery_poly(braid: BraidWord) -> LaurentPoly:
     """Delta_K(t^2) for the closure K of braid."""
     return LaurentPoly({2 * e: c for e, c in alexander(braid).terms.items()})
-
-
-def fiber_class_factor(name: str) -> GroupRingElt:
-    """exp(T) - exp(-T) for the torus class named ``name``."""
-    return substitute_exp(FIBER_POLY, ClassVector((name,), (1,)))
 
 
 def sw_factors(c: Construction) -> FactoredSeries:
@@ -119,9 +119,9 @@ def sw_first_power_formula(
     mid: list[BraidWord],
     first: BraidWord,
     last: BraidWord,
-) -> GroupRingElt:
+) -> FactoredSeries:
     """Closed-form product for the series of surgered_chain(n, ...), with
-    the fiber-sum factors to the FIRST power.
+    the fiber-sum factors to the FIRST power, one factor per class.
 
     This is the other convention in circulation for the same family; the
     recursive engine squares those factors.  Both are exposed so the
@@ -136,8 +136,7 @@ def sw_first_power_formula(
     for alpha, braid in enumerate(mid, start=1):
         out = out.times(f"T[{alpha},2]", _surgery_poly(braid))
     out = out.times("T[1,1]", _surgery_poly(first))
-    out = out.times(f"T[{n},3]", _surgery_poly(last))
-    return out.expand()
+    return out.times(f"T[{n},3]", _surgery_poly(last))
 
 
 # ----------------------------------------------------------------- reports
@@ -169,21 +168,24 @@ def check_conjugation_symmetry(
     nonzero class K, with epsilon the conjugation sign.  The zero series
     is symmetric and needs no sign.
 
-    A FactoredSeries with two or more non-constant factors is checked per
-    factor: each must satisfy f(t^-1) = +-f(t), and the signs must
-    multiply to epsilon.  The variables are independent, so this is the
-    term-by-term check: the product is (anti)symmetric in each variable
-    separately exactly when every factor is, and with epsilon = -1 both
-    checks refuse a nonzero constant term.  A series in one variable or
-    none is small and is checked term by term, since there the constant
-    term is free (1 + t - t^-1 passes for epsilon = -1).
+    A FactoredSeries is checked on its factors, never expanded.  With two
+    or more non-constant factors, each must satisfy f(t^-1) = +-f(t), and
+    the signs must multiply to epsilon.  The variables are independent,
+    so this is the term-by-term check: the product is (anti)symmetric in
+    each variable separately exactly when every factor is, and with
+    epsilon = -1 both checks refuse a nonzero constant term.  In one
+    variable or none the constant term is free (1 + t - t^-1 passes for
+    epsilon = -1), so the one non-constant factor, if any, is checked term
+    by term; the nonzero constant factors scale both sides alike.
     """
     if series.is_zero():
         return True
     eps = conjugation_sign(cn)
-    if isinstance(series, FactoredSeries) and len(series.lattice) < 2:
-        series = series.expand()
     if isinstance(series, FactoredSeries):
+        lattice = series.lattice
+        if len(lattice) < 2:
+            terms = series.factors[lattice[0]].terms if lattice else {}
+            return all(terms.get(-e, 0) == eps * c for e, c in terms.items() if e)
         sign = 1
         for f in series.factors.values():
             s = _factor_sign(f)
@@ -201,6 +203,15 @@ def check_conjugation_symmetry(
     return True
 
 
+def _expand_runs(runs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """The sorted multiset that (value, pairs) runs stand for: each value
+    repeated once per pair.  It is as long as half the series, so only
+    the writers (under the term budget) and tests read it."""
+    return tuple(
+        itertools.chain.from_iterable(itertools.repeat(v, n) for v, n in runs)
+    )
+
+
 @dataclass(frozen=True)
 class SWReport:
     """Basic-class summary of a series.
@@ -208,8 +219,10 @@ class SWReport:
     series is the pruned dense series or a FactoredSeries; both print the
     same canonical text.  count is the number of nonzero basic classes
     (2 per pair +-K); rank is the rank of the integer span of the classes;
-    coeff_multiset lists |coefficient| once per pair, sorted.  The pairs
-    themselves are read off the series on demand.
+    coeff_runs is the multiset of |coefficient| over the pairs, as sorted
+    (|coefficient|, number of pairs) runs, so equal multisets give equal
+    runs; coeff_multiset expands it on request.  The pairs themselves are
+    read off the series on demand.
 
     to_json() is the library's dict view, one dict per pair.  The ``sw``
     command does not build it: cli.sw_lines writes the same bytes
@@ -220,36 +233,27 @@ class SWReport:
     a0: int
     count: int
     rank: int
-    coeff_multiset: tuple[int, ...]
+    coeff_runs: tuple[tuple[int, int], ...]
 
-    def _positive_terms(self):
-        """(exponent vector, coefficient) of the lexicographically positive
-        class of every pair +-K, in ascending lexicographic order."""
-        series = self.series
-        if isinstance(series, FactoredSeries):
-            # The support is symmetric, so everything up to and including
-            # the origin is the first half plus the origin (when present).
-            skip = self.count // 2 + (self.a0 != 0)
-            return itertools.islice(series.sorted_terms(), skip, None)
-        return (
-            (vec, series.terms[vec])
-            for vec in sorted(series.terms)
-            if _lex_positive(vec)
-        )
+    @property
+    def coeff_multiset(self) -> tuple[int, ...]:
+        """|coefficient| once per pair, sorted: the expanded coeff_runs."""
+        return _expand_runs(self.coeff_runs)
 
     @property
     def basic_pairs(self) -> tuple[tuple[ClassVector, int], ...]:
         """One ClassVector per pair +-K (the lexicographically positive
         one) with its coefficient, in ascending lexicographic order."""
         lattice = self.series.lattice
-        return tuple((ClassVector(lattice, vec), c) for vec, c in self._positive_terms())
+        positives = _positive_half(self.series, self.count, self.a0)
+        return tuple((ClassVector(lattice, vec), c) for vec, c in positives)
 
     def to_json(self) -> dict:
         return {
             "a0": self.a0,
             "pairs": [
                 {"class": list(vec), "coeff": coeff}
-                for vec, coeff in self._positive_terms()
+                for vec, coeff in _positive_half(self.series, self.count, self.a0)
             ],
             "count": self.count,
             "rank": self.rank,
@@ -257,6 +261,14 @@ class SWReport:
             "lattice": list(self.series.lattice),
             "series": str(self.series),
         }
+
+
+def _positive_half(series: GroupRingElt | FactoredSeries, count: int, a0: int):
+    """(exponent vector, coefficient) of the lexicographically positive
+    class of every pair +-K, in ascending lexicographic order.  The
+    support is symmetric, so these are the terms after the count // 2
+    negative ones and the origin (when a0 != 0)."""
+    return itertools.islice(series.sorted_terms(), count // 2 + (a0 != 0), None)
 
 
 def _require_symmetric(series: GroupRingElt | FactoredSeries, cn: CharNumbers):
@@ -267,21 +279,17 @@ def _require_symmetric(series: GroupRingElt | FactoredSeries, cn: CharNumbers):
         )
 
 
-def _lex_positive(vec: tuple[int, ...]) -> bool:
-    for x in vec:
-        if x != 0:
-            return x > 0
-    return False
-
-
 def basic_classes(series: GroupRingElt, cn: CharNumbers) -> SWReport:
-    """Read the basic classes off a conjugation-symmetric dense series."""
+    """Read the basic classes off a conjugation-symmetric dense series:
+    the reference that factored_report is tested against."""
     _require_symmetric(series, cn)
     canon = series.pruned()
-    positives = sorted(v for v in canon.terms if _lex_positive(v))
+    a0 = canon.constant_coeff()
+    count = len(canon.terms) - (a0 != 0)
+    positives = dict(_positive_half(canon, count, a0))
     rank = integer_rank([list(vec) for vec in positives])
-    coeffs = tuple(sorted(abs(canon.terms[v]) for v in positives))
-    return SWReport(canon, canon.constant_coeff(), 2 * len(positives), rank, coeffs)
+    runs = Counter(abs(c) for c in positives.values())
+    return SWReport(canon, a0, count, rank, tuple(sorted(runs.items())))
 
 
 def factored_report(series: FactoredSeries, cn: CharNumbers) -> SWReport:
@@ -294,7 +302,8 @@ def factored_report(series: FactoredSeries, cn: CharNumbers) -> SWReport:
     factors (each has a symmetric support, so spans its own axis); the
     |coefficient| multiset is kept as value -> count and convolved factor
     by factor, then |a0| is taken out for the origin and the counts are
-    halved for the pairs.
+    halved into the (value, pairs) runs.  Nothing here grows with the
+    number of terms.
     """
     _require_symmetric(series, cn)
     if series.is_zero():
@@ -309,25 +318,9 @@ def factored_report(series: FactoredSeries, cn: CharNumbers) -> SWReport:
         runs = grown
     if a0:
         runs[abs(a0)] -= 1
-    coeffs = tuple(
-        itertools.chain.from_iterable(
-            itertools.repeat(v, runs[v] // 2) for v in sorted(runs)
-        )
-    )
+    coeff_runs = tuple((v, m // 2) for v, m in sorted(runs.items()) if m > 1)
     count = series.term_count() - (a0 != 0)
-    return SWReport(series, a0, count, len(series.lattice), coeffs)
-
-
-def reconstruct_series(report: SWReport, cn: CharNumbers) -> GroupRingElt:
-    """Rebuild a series from a0 and basic_pairs with the conjugation sign;
-    inverse of basic_classes on symmetric series."""
-    if report.series.is_zero():
-        return GroupRingElt.zero()
-    eps = conjugation_sign(cn)
-    out = GroupRingElt.constant(report.a0)
-    for cv, coeff in report.basic_pairs:
-        out = out + GroupRingElt.exp(cv, coeff) + GroupRingElt.exp(-cv, eps * coeff)
-    return out
+    return SWReport(series, a0, count, len(series.lattice), coeff_runs)
 
 
 def sw_report(c: Construction) -> SWReport:
@@ -340,8 +333,6 @@ __all__ = [
     "check_conjugation_symmetry",
     "conjugation_sign",
     "factored_report",
-    "fiber_class_factor",
-    "reconstruct_series",
     "require_term_budget",
     "sw_factors",
     "sw_first_power_formula",

@@ -300,6 +300,25 @@ def test_compare_different_chains(tmp_path, capsys):
     assert data["homotopy"] is False and data["one_stab"] is False
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_compare_large_chains_needs_no_expansion(tmp_path, capsys, monkeypatch, flags):
+    # 3^18 terms each: the fingerprints are compared as coefficient runs,
+    # so nothing is expanded, not even the runs.
+    def expands(*args):
+        raise AssertionError("the series was expanded")
+
+    for name in ("sorted_terms", "expand"):
+        monkeypatch.setattr(FactoredSeries, name, expands)
+    monkeypatch.setattr(swseries, "_expand_runs", expands)
+    path = write(tmp_path, "x.json", {"XN": 19})
+    assert main(flags + ["compare", path, path]) == 0
+    out = capsys.readouterr().out
+    if flags:
+        assert json.loads(out) == {"homotopy": True, "distinct": False, "one_stab": True}
+    else:
+        assert out == "homotopy:true distinct:false one_stab:true\n"
+
+
 def test_compare_stabilized_members(tmp_path, capsys):
     a = {"csum": [y_doc([TREFOIL_BRAID]), {"block": "S2twS2"}]}
     b = {"csum": [y_doc([UNKNOT_BRAID]), {"block": "S2twS2"}]}

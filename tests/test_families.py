@@ -1,5 +1,7 @@
 """Family generation, comparison verdicts, stabilization normal forms."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +103,15 @@ def test_distinguish_is_symmetric():
     assert fingerprint(b).a0 == 3
 
 
+def test_fingerprint_runs_of_long_chain():
+    # 18 factors t^2 - 2 + t^-2: a term taking k constant terms has
+    # |coefficient| 2^k, and there are C(18, k) 2^(18-k) such terms, in
+    # pairs; the origin (k = 18, the a0 = 2^18) is left out.
+    fp = fingerprint(fiber_sum_chain(19))
+    assert (fp.count, fp.rank, fp.a0) == (3**18 - 1, 18, 2**18)
+    assert fp.coeff_runs == tuple((2**k, comb(18, k) * 2 ** (17 - k)) for k in range(18))
+
+
 def test_fingerprint_invariant_under_relabeling():
     series = sw_series_of_reference()
     relabeled = GroupRingElt(
@@ -109,8 +120,8 @@ def test_fingerprint_invariant_under_relabeling():
     cn = char_numbers(fiber_sum_chain(2))
     a = basic_classes(series, cn)
     b = basic_classes(relabeled, cn)
-    fa = Fingerprint(a.count, a.rank, a.coeff_multiset, a.a0)
-    fb = Fingerprint(b.count, b.rank, b.coeff_multiset, b.a0)
+    fa = Fingerprint(a.count, a.rank, a.coeff_runs, a.a0)
+    fb = Fingerprint(b.count, b.rank, b.coeff_runs, b.a0)
     assert fa == fb
 
 

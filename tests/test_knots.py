@@ -54,6 +54,23 @@ def test_braid_text_round_trip():
     assert BraidWord.parse("1; ") == UNKNOT
 
 
+@st.composite
+def braid_words(draw):
+    strands = draw(st.integers(1, 8))
+    if strands == 1:
+        return BraidWord(1, ())
+    letters = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    return BraidWord(strands, tuple(draw(st.lists(letters, max_size=30))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(braid_words())
+def test_property_braid_text_round_trip(braid):
+    text = str(braid)
+    assert BraidWord.parse(text) == braid
+    assert str(BraidWord.parse(text)) == text
+
+
 # ------------------------------------------------------------------ closure
 
 

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibersum import ClassVector, GroupRingElt, LaurentPoly, substitute_exp
 from fibersum.errors import NotDivisible
@@ -197,6 +199,43 @@ def test_gr_parse_round_trip():
     for _ in range(200):
         s = _random_gr(rng)
         assert GroupRingElt.parse(str(s)) == s
+
+
+# Class names in the forms the builders produce: T1, T[a,b], and the
+# R:-prefixed names of a renamed right summand.
+class_names = st.builds(
+    lambda prefix, base: "R:" * prefix + base,
+    st.integers(0, 2),
+    st.one_of(
+        st.integers(1, 3).map(lambda i: f"T{i}"),
+        st.tuples(st.integers(1, 40), st.integers(1, 3)).map(lambda ab: f"T[{ab[0]},{ab[1]}]"),
+    ),
+)
+coefficients = st.integers(-(10**20), 10**20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(-30, 30), coefficients, max_size=8))
+def test_property_poly_text_round_trip(terms):
+    p = LaurentPoly(terms)
+    text = str(p)
+    assert LaurentPoly.parse(text) == p
+    assert str(LaurentPoly.parse(text)) == text
+
+
+@st.composite
+def group_ring_elts(draw):
+    lattice = tuple(sorted(draw(st.sets(class_names, max_size=4))))
+    vectors = st.tuples(*[st.integers(-4, 4) for _ in lattice])
+    return GroupRingElt(lattice, draw(st.dictionaries(vectors, coefficients, max_size=8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_ring_elts())
+def test_property_gr_text_round_trip(g):
+    text = str(g)
+    assert GroupRingElt.parse(text) == g
+    assert str(GroupRingElt.parse(text)) == text
 
 
 # ------------------------------------------------------------------ properties
