@@ -54,11 +54,14 @@ for cv, coeff in report.basic_pairs:
 print("  conjugation-symmetric:",
       check_conjugation_symmetry(series, char_numbers(y)))
 
-# The same series as the engine keeps it: one polynomial in t = exp(T)
-# per torus class.  A fingerprint needs only these factors, so a chain
-# whose expansion has 3^13 = 1,594,323 terms is fingerprinted at once.
-print("\nfactors (t = exp(class)):")
-for name, factor in sorted(sw_factors(y).factors.items()):
+# The same series as the engine keeps it: an integer scalar times one
+# polynomial in t = exp(T) per torus class.  Constant factors, such as the
+# unknots' 1 at T[1,1] and T[2,3], are folded into the scalar.  A
+# fingerprint needs only these factors, so a chain whose expansion has
+# 3^13 = 1,594,323 terms is fingerprinted at once.
+factored = sw_factors(y)
+print("\nscalar:", factored.scalar, "| factors (t = exp(class)):")
+for name, factor in factored.factors.items():
     print(f"  {name:<8} {factor}")
 big = surgered_chain(6, [trefoil] * 6, trefoil, trefoil)
 fp = fingerprint(big)

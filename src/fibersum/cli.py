@@ -16,16 +16,21 @@ Construction documents are JSON trees:
     {"XN": N}
     {"Y": {"N": N, "mid": [BRAID...], "first": BRAID, "last": BRAID}}
 
-with BRAID = {"strands": N, "word": [ints]}.  Parse errors carry a path
-into the document and exit with code 2; unsupported invariant queries,
-and series too long to write out (over swseries.TERM_BUDGET terms), exit
-3; non-knot braids exit 4; other violated preconditions exit 5.
+with BRAID = {"strands": N, "word": [ints]}.  A "tori" entry may not be
+empty or hold whitespace or any of + - * ( ) ^, since the series text
+writes torus names bare.  Parse errors carry a path into the document and
+exit with code 2; unsupported invariant queries, and series too long to
+write out (over swseries.TERM_BUDGET terms), exit 3; non-knot braids exit
+4; other violated preconditions exit 5.  A reader that closes stdout
+early ends the run quietly with code 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 
 from .errors import (
@@ -72,6 +77,10 @@ EXIT_UNSUPPORTED = 3
 EXIT_NOT_A_KNOT = 4
 EXIT_PRECONDITION = 5
 
+# A torus name is written bare inside exp(...) in the series text, so it
+# may hold no whitespace, sign, product sign, parenthesis or caret.
+_BAD_TORUS_NAME = re.compile(r"[\s+\-*()^]")
+
 
 # ------------------------------------------------------------- documents
 
@@ -105,6 +114,12 @@ def parse_construction(doc, path: str = "$") -> Construction:
             tori = doc["tori"]
             if not isinstance(tori, list) or not all(isinstance(t, str) for t in tori):
                 raise DocumentError(f"{path}.tori: expected a list of torus names")
+            for i, name in enumerate(tori):
+                if not name or _BAD_TORUS_NAME.search(name):
+                    raise DocumentError(
+                        f"{path}.tori[{i}]: torus name {name!r} is empty or holds "
+                        "whitespace or one of + - * ( ) ^"
+                    )
             if len(tori) != len(leaf.tori):
                 raise DocumentError(
                     f"{path}.tori: {value} carries {len(leaf.tori)} tori"
@@ -271,18 +286,17 @@ def sw_lines(report: SWReport, as_json: bool) -> list[str]:
 def _pairs_text(series: FactoredSeries) -> str:
     """The report's "pairs" entries written from the factors: the
     lexicographically positive class of each pair +-K with its
-    coefficient, in ascending order (ring.product_terms)."""
-    if series.is_zero():
-        return ""
+    coefficient, in ascending order (ring.product_terms).  A series with
+    no factors, constant or zero, has no pairs and writes nothing."""
     axes = []
-    for j, name in enumerate(series.lattice):
+    for j, f in enumerate(series.factors.values()):
         sep = ", " if j else ""
-        terms = sorted(series.factors[name].terms.items())
+        terms = sorted(f.terms.items())
         axes.append([(e, c, f"{sep}{e}", f"{sep}{e}") for e, c in terms])
     out: list[str] = []
     product_terms(
         axes,
-        series.scalar(),
+        series.scalar,
         lambda k: ('{"class": [', f'], "coeff": {k}}}'),
         ", ",
         out,
@@ -452,7 +466,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``fibersum sw FILE | head``).
+        # Point stdout at devnull so the interpreter's final flush of what
+        # is still buffered is silent too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

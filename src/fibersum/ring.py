@@ -4,10 +4,10 @@ LaurentPoly is Z[t, t^-1] stored sparsely as {exponent: coefficient}.
 GroupRingElt is the integral group ring of a free abelian group whose
 generators are named torus classes; an element stores its symbol table
 (the "lattice", a sorted tuple of names) and a sparse map from integer
-exponent vectors to coefficients.  FactoredSeries is a product of
-one-variable Laurent polynomials in independent named classes, the form
-the Seiberg-Witten gluing rules produce; it expands to a GroupRingElt on
-request.
+exponent vectors to coefficients.  FactoredSeries is an integer times a
+product of non-constant one-variable Laurent polynomials in independent
+named classes, the form the Seiberg-Witten gluing rules produce; it
+expands to a GroupRingElt on request.
 
 All three types are immutable by convention: every operation returns a fresh
 value and nothing mutates shared state, so values can be shared freely
@@ -671,32 +671,45 @@ def substitute_exp(p: LaurentPoly, cv: ClassVector) -> GroupRingElt:
 
 
 class FactoredSeries:
-    """Product of one-variable Laurent polynomials in independent classes.
+    """An integer scalar times a product of non-constant one-variable
+    Laurent polynomials in independent classes.
 
-    factors maps a torus class name to a LaurentPoly in t = exp(class);
-    the product of all of them is the series, and the zero series has
-    factors None.  Since the variables are independent, nothing cancels:
-    the terms are the Cartesian product of the factors' terms, so counts,
-    order and text are all read off the factors without expanding.
+    factors maps a torus class name to a LaurentPoly in t = exp(class)
+    with a term of nonzero exponent, in sorted name order; lattice is the
+    tuple of those names, the lattice of the pruned expansion.  The
+    constructor folds every constant factor into scalar, and a zero factor
+    makes scalar 0 and drops all factors, so the zero series is scalar 0.
+    Since the variables are independent, nothing cancels: the terms are
+    the Cartesian product of the factors' terms, so counts, order and text
+    are all read off the factors without expanding.  The factors are
+    unique only up to moving constants between them and scalar, so
+    equality and hashing go through the expansion.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "scalar", "lattice")
 
-    def __init__(self, factors: dict[str, LaurentPoly] | None):
-        if factors is not None and any(f.is_zero() for f in factors.values()):
-            factors = None
-        self.factors = factors
+    def __init__(self, factors: dict[str, LaurentPoly], scalar: int = 1):
+        kept = {}
+        for name in sorted(factors):
+            f = factors[name]
+            if f.terms.keys() - {0}:
+                kept[name] = f
+            else:
+                scalar *= f.coeff(0)
+        self.factors = kept if scalar else {}
+        self.scalar = scalar
+        self.lattice = tuple(self.factors)
 
     @classmethod
     def zero(cls) -> "FactoredSeries":
-        return cls(None)
+        return cls({}, 0)
 
     @classmethod
     def one(cls) -> "FactoredSeries":
         return cls({})
 
     def is_zero(self) -> bool:
-        return self.factors is None
+        return not self.scalar
 
     def times(self, name: str, poly: LaurentPoly) -> "FactoredSeries":
         """This series multiplied by poly(exp(name))."""
@@ -706,60 +719,33 @@ class FactoredSeries:
         """Factors on the same class multiply; the others are kept."""
         if not isinstance(other, FactoredSeries):
             return NotImplemented
-        if self.factors is None or other.factors is None:
-            return FactoredSeries.zero()
         factors = dict(self.factors)
         for name, poly in other.factors.items():
             factors[name] = factors[name] * poly if name in factors else poly
-        return FactoredSeries(factors)
-
-    @property
-    def lattice(self) -> tuple[str, ...]:
-        """Names of the non-constant factors, sorted: the lattice of the
-        pruned expansion."""
-        if self.factors is None:
-            return ()
-        return tuple(
-            sorted(n for n, f in self.factors.items() if any(f.terms.keys() - {0}))
-        )
+        return FactoredSeries(factors, self.scalar * other.scalar)
 
     def constant_coeff(self) -> int:
-        if self.factors is None:
-            return 0
-        out = 1
-        for f in self.factors.values():
-            out *= f.coeff(0)
-        return out
+        return self.scalar * math.prod(f.coeff(0) for f in self.factors.values())
 
     def term_count(self) -> int:
         """Number of terms of the expansion: the product of the factors'
         support sizes."""
-        if self.factors is None:
+        if not self.scalar:
             return 0
         return math.prod(len(f.terms) for f in self.factors.values())
-
-    def scalar(self) -> int:
-        """Product of the constant factors."""
-        lattice = set(self.lattice)
-        out = 1
-        for name, f in self.factors.items():
-            if name not in lattice:
-                out *= f.coeff(0)
-        return out
 
     def sorted_terms(self):
         """(exponent vector over self.lattice, coefficient) for every term,
         in ascending lexicographic order."""
-        if self.factors is None:
+        if not self.scalar:
             return
-        scalar = self.scalar()
-        exponents = [sorted(self.factors[n].terms) for n in self.lattice]
+        exponents = [sorted(f.terms) for f in self.factors.values()]
         coeffs = [
-            [self.factors[n].terms[e] for e in exps]
-            for n, exps in zip(self.lattice, exponents)
+            [f.terms[e] for e in exps]
+            for f, exps in zip(self.factors.values(), exponents)
         ]
         for vec, cs in zip(itertools.product(*exponents), itertools.product(*coeffs)):
-            yield vec, scalar * math.prod(cs)
+            yield vec, self.scalar * math.prod(cs)
 
     def expand(self) -> GroupRingElt:
         """The dense group ring element, over the pruned lattice."""
@@ -771,12 +757,12 @@ class FactoredSeries:
         coefficient's sign and magnitude text are rendered once, and the
         terms are joined in blocks that share a monomial prefix (see
         product_terms)."""
-        if self.factors is None:
+        if not self.scalar:
             return "0"
         axes = []
-        for name in self.lattice:
+        for name, f in self.factors.items():
             steps = []
-            for e, c in sorted(self.factors[name].terms.items(), reverse=True):
+            for e, c in sorted(f.terms.items(), reverse=True):
                 body = name if abs(e) == 1 else f"{abs(e)}*{name}"
                 if not e:
                     steps.append((e, c, "", ""))
@@ -789,7 +775,7 @@ class FactoredSeries:
         parts: list[str] = []
         product_terms(
             axes,
-            self.scalar(),
+            self.scalar,
             lambda k: (heads[k], ")"),
             " ",
             parts,
@@ -808,7 +794,7 @@ class FactoredSeries:
         return hash(self.expand())
 
     def __bool__(self):
-        return self.factors is not None
+        return bool(self.scalar)
 
     def __repr__(self):
-        return f"FactoredSeries({self.factors!r})"
+        return f"FactoredSeries({self.factors!r}, {self.scalar!r})"

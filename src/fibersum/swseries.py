@@ -130,13 +130,12 @@ def sw_first_power_formula(
     """
     if len(mid) != n:
         raise ValueError(f"expected {n} middle knots, got {len(mid)}")
-    out = FactoredSeries.one()
-    for alpha in range(1, n):
-        out = out.times(f"T[{alpha},3]", FIBER_POLY)
+    factors = {f"T[{alpha},3]": FIBER_POLY for alpha in range(1, n)}
     for alpha, braid in enumerate(mid, start=1):
-        out = out.times(f"T[{alpha},2]", _surgery_poly(braid))
-    out = out.times("T[1,1]", _surgery_poly(first))
-    return out.times(f"T[{n},3]", _surgery_poly(last))
+        factors[f"T[{alpha},2]"] = _surgery_poly(braid)
+    factors["T[1,1]"] = _surgery_poly(first)
+    factors[f"T[{n},3]"] = _surgery_poly(last)
+    return FactoredSeries(factors)
 
 
 # ----------------------------------------------------------------- reports
@@ -168,26 +167,26 @@ def check_conjugation_symmetry(
     nonzero class K, with epsilon the conjugation sign.  The zero series
     is symmetric and needs no sign.
 
-    A FactoredSeries is checked on its factors, never expanded.  With two
-    or more non-constant factors, each must satisfy f(t^-1) = +-f(t), and
-    the signs must multiply to epsilon.  The variables are independent,
-    so this is the term-by-term check: the product is (anti)symmetric in
-    each variable separately exactly when every factor is, and with
-    epsilon = -1 both checks refuse a nonzero constant term.  In one
-    variable or none the constant term is free (1 + t - t^-1 passes for
-    epsilon = -1), so the one non-constant factor, if any, is checked term
-    by term; the nonzero constant factors scale both sides alike.
+    A FactoredSeries is checked on its factors, never expanded; its
+    scalar scales both sides alike.  With two or more factors (all
+    non-constant), each must satisfy f(t^-1) = +-f(t), and the signs must
+    multiply to epsilon.  The variables are independent, so this is the
+    term-by-term check: the product is (anti)symmetric in each variable
+    separately exactly when every factor is, and with epsilon = -1 both
+    checks refuse a nonzero constant term.  In one variable or none the
+    constant term is free (1 + t - t^-1 passes for epsilon = -1), so the
+    one factor, if any, is checked term by term.
     """
     if series.is_zero():
         return True
     eps = conjugation_sign(cn)
     if isinstance(series, FactoredSeries):
-        lattice = series.lattice
-        if len(lattice) < 2:
-            terms = series.factors[lattice[0]].terms if lattice else {}
+        factors = list(series.factors.values())
+        if len(factors) < 2:
+            terms = factors[0].terms if factors else {}
             return all(terms.get(-e, 0) == eps * c for e, c in terms.items() if e)
         sign = 1
-        for f in series.factors.values():
+        for f in factors:
             s = _factor_sign(f)
             if s is None:
                 return False
@@ -296,20 +295,19 @@ def factored_report(series: FactoredSeries, cn: CharNumbers) -> SWReport:
     """Read the basic classes off a conjugation-symmetric factored series
     without expanding it.
 
-    a0 is the product of the constant terms; the classes are the
-    Cartesian product of the factors' supports, so count is the product
-    of their sizes less the origin; rank is the number of non-constant
-    factors (each has a symmetric support, so spans its own axis); the
-    |coefficient| multiset is kept as value -> count and convolved factor
-    by factor, then |a0| is taken out for the origin and the counts are
-    halved into the (value, pairs) runs.  Nothing here grows with the
-    number of terms.
+    a0 is the scalar times the factors' constant terms; the classes are
+    the Cartesian product of the factors' supports, so count is the
+    product of their sizes less the origin; rank is the number of factors
+    (each is non-constant with a symmetric support, so spans its own
+    axis); the |coefficient| multiset is kept as value -> count, starting
+    from |scalar| and convolved factor by factor, then |a0| is taken out
+    for the origin and the counts are halved into the (value, pairs) runs.
+    The zero series (scalar 0) reads as no classes.  Nothing here grows
+    with the number of terms.
     """
     _require_symmetric(series, cn)
-    if series.is_zero():
-        return SWReport(series, 0, 0, 0, ())
     a0 = series.constant_coeff()
-    runs = Counter({1: 1})  # |coefficient| -> number of terms
+    runs = Counter({abs(series.scalar): 1})  # |coefficient| -> number of terms
     for f in series.factors.values():
         grown: Counter = Counter()
         for value, mult in runs.items():
@@ -320,7 +318,7 @@ def factored_report(series: FactoredSeries, cn: CharNumbers) -> SWReport:
         runs[abs(a0)] -= 1
     coeff_runs = tuple((v, m // 2) for v, m in sorted(runs.items()) if m > 1)
     count = series.term_count() - (a0 != 0)
-    return SWReport(series, a0, count, len(series.lattice), coeff_runs)
+    return SWReport(series, a0, count, len(series.factors), coeff_runs)
 
 
 def sw_report(c: Construction) -> SWReport:

@@ -1,7 +1,10 @@
 """The command line surface: output formats, exit codes, round-trips."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +22,7 @@ from fibersum import (
 from fibersum.cli import _emit, construction_to_doc, main, normal_form_text, parse_construction
 from fibersum import cli, swseries
 from fibersum.errors import UnsupportedNode
-from fibersum.ring import FactoredSeries
+from fibersum.ring import FactoredSeries, GroupRingElt
 
 TREFOIL_BRAID = {"strands": 2, "word": [1, 1, 1]}
 UNKNOT_BRAID = {"strands": 1, "word": []}
@@ -449,3 +452,48 @@ def test_bool_braid_letter_exit_2(tmp_path, capsys):
     braid = {"strands": 2, "word": [1, True, 1]}
     doc = {"surgery": {"on": {"XN": 1}, "torus": "T[1,2]", "braid": braid}}
     _bool_document_exit_2(tmp_path, capsys, doc, "$.surgery.braid")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["", "A B", "A\tB", "A+B", "A-B", "2*A", "A(", "A)", "A^2"],
+    ids=["empty", "space", "tab", "plus", "minus", "star", "open", "close", "caret"],
+)
+def test_unwritable_torus_name_exit_2(tmp_path, capsys, bad):
+    tori = ["T1", "T2", "T3"]
+    tori[1] = bad
+    doc = {"block": "K3", "tori": tori}
+    assert main(["sw", write(tmp_path, "t.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: $.tori[1]: torus name")
+
+
+def test_admitted_torus_names_round_trip(tmp_path, capsys):
+    names = ['A"', "B\\", "Cé"]
+    doc = {"surgery": {"on": {"block": "K3", "tori": names}, "torus": "B\\",
+                       "braid": TREFOIL_BRAID}}
+    assert main(["sw", write(tmp_path, "t.json", doc)]) == 0
+    text = capsys.readouterr().out.splitlines()[0]
+    series = sw_factors(parse_construction(doc))
+    assert text == "exp(2*B\\) - 1 + exp(-2*B\\)"
+    assert GroupRingElt.parse(text) == series
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # About 1 MB of output: far more than a pipe buffers, so the writer is
+    # still writing when the reader goes away.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with subprocess.Popen(
+        [sys.executable, "-m", "fibersum.cli", "sw", write(tmp_path, "x.json", {"XN": 10})],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert len(proc.stdout.read(150)) == 150
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""

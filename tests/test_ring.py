@@ -201,15 +201,26 @@ def test_gr_parse_round_trip():
         assert GroupRingElt.parse(str(s)) == s
 
 
-# Class names in the forms the builders produce: T1, T[a,b], and the
-# R:-prefixed names of a renamed right summand.
-class_names = st.builds(
-    lambda prefix, base: "R:" * prefix + base,
-    st.integers(0, 2),
-    st.one_of(
-        st.integers(1, 3).map(lambda i: f"T{i}"),
-        st.tuples(st.integers(1, 40), st.integers(1, 3)).map(lambda ab: f"T[{ab[0]},{ab[1]}]"),
+# Class names in the forms the builders produce (T1, T[a,b], and the
+# R:-prefixed names of a renamed right summand), and any name a document
+# may give a torus: nonempty, with no whitespace and none of + - * ( ) ^.
+class_names = st.one_of(
+    st.builds(
+        lambda prefix, base: "R:" * prefix + base,
+        st.integers(0, 2),
+        st.one_of(
+            st.integers(1, 3).map(lambda i: f"T{i}"),
+            st.tuples(st.integers(1, 40), st.integers(1, 3)).map(
+                lambda ab: f"T[{ab[0]},{ab[1]}]"
+            ),
+        ),
     ),
+    st.text(
+        st.characters(exclude_characters="+-*()^", exclude_categories=("Cs",)),
+        min_size=1,
+        max_size=6,
+    ).filter(lambda name: not any(ch.isspace() for ch in name)),
+    st.sampled_from(['A"', "B\\", "C\u00e9", "7", "exp"]),
 )
 coefficients = st.integers(-(10**20), 10**20)
 

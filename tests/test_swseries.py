@@ -298,7 +298,8 @@ def test_sw_factors_one_per_class():
     assert factors["T[1,3]"] == LaurentPoly({2: 1, 0: -2, -2: 1})
     assert factors["T[1,2]"] == LaurentPoly({2: 1, 0: -1, -2: 1})
     assert factors["T[2,3]"] == LaurentPoly({2: -1, 0: 3, -2: -1})
-    assert factors["T[2,2]"] == LaurentPoly.one()
+    # The unknot's factor at T[2,2] is the constant 1, folded into scalar.
+    assert "T[2,2]" not in factors and sw_factors(y).scalar == 1
     assert sw_factors(y).lattice == ("T[1,2]", "T[1,3]", "T[2,3]")
 
 
@@ -394,6 +395,8 @@ half_polys = st.dictionaries(st.integers(1, 3), st.integers(-3, 3).filter(bool),
 class_names = st.sampled_from(["C", "C\"", "C\u00e9"])
 
 
+# An empty half gives a constant factor (center, which may be 0 or
+# negative) or, antisymmetric, the zero factor.
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(half_polys, st.integers(-2, 2), st.sampled_from([1, -1])),
                 min_size=0, max_size=4),
@@ -403,7 +406,17 @@ def test_property_factored_report_equals_dense_reader(specs, name):
         f"{name}{i}": _signed_poly(half, center, sign)
         for i, (half, center, sign) in enumerate(specs)
     }
-    series = FactoredSeries(factors)
+    # Given in reverse class order, so that sorting is observable.
+    series = FactoredSeries(dict(reversed(factors.items())))
+    # The canonical form: constant factors are folded into scalar, the
+    # factors kept are non-constant and in sorted order, and the product
+    # is that of the input factors, constant ones included.
+    assert all(f.terms.keys() - {0} for f in series.factors.values())
+    assert series.lattice == tuple(series.factors) == tuple(sorted(series.factors))
+    product = GroupRingElt.one()
+    for cls, f in factors.items():
+        product = product * substitute_exp(f, ClassVector((cls,), (1,)))
+    assert series.expand() == product
     sign = 1
     for _, _, s in specs:
         sign *= s
