@@ -19,10 +19,11 @@ Construction documents are JSON trees:
 with BRAID = {"strands": N, "word": [ints]}.  A "tori" entry may not be
 empty or hold whitespace or any of + - * ( ) ^, since the series text
 writes torus names bare.  Parse errors carry a path into the document and
-exit with code 2; unsupported invariant queries, and series too long to
-write out (over swseries.TERM_BUDGET terms), exit 3; non-knot braids exit
-4; other violated preconditions exit 5.  A reader that closes stdout
-early ends the run quietly with code 0.
+exit with code 2, as do trees nested too deeply for the recursive walks;
+unsupported invariant queries, and series too long to write out (over
+swseries.TERM_BUDGET terms), exit 3; non-knot braids exit 4; other
+violated preconditions exit 5.  A reader that closes stdout early ends
+the run quietly with code 0.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from .errors import (
+    BadParameter,
     CalculusError,
     DocumentError,
     NotAKnot,
@@ -77,10 +78,6 @@ EXIT_UNSUPPORTED = 3
 EXIT_NOT_A_KNOT = 4
 EXIT_PRECONDITION = 5
 
-# A torus name is written bare inside exp(...) in the series text, so it
-# may hold no whitespace, sign, product sign, parenthesis or caret.
-_BAD_TORUS_NAME = re.compile(r"[\s+\-*()^]")
-
 
 # ------------------------------------------------------------- documents
 
@@ -114,17 +111,15 @@ def parse_construction(doc, path: str = "$") -> Construction:
             tori = doc["tori"]
             if not isinstance(tori, list) or not all(isinstance(t, str) for t in tori):
                 raise DocumentError(f"{path}.tori: expected a list of torus names")
-            for i, name in enumerate(tori):
-                if not name or _BAD_TORUS_NAME.search(name):
-                    raise DocumentError(
-                        f"{path}.tori[{i}]: torus name {name!r} is empty or holds "
-                        "whitespace or one of + - * ( ) ^"
-                    )
+            try:
+                named = Block(value, tuple(tori))
+            except BadParameter as exc:
+                raise DocumentError(f"{path}.{exc}") from exc
             if len(tori) != len(leaf.tori):
                 raise DocumentError(
                     f"{path}.tori: {value} carries {len(leaf.tori)} tori"
                 )
-            leaf = Block(value, tuple(tori))
+            leaf = named
         return leaf
     if len(doc) != 1:
         raise DocumentError(f"{path}: expected an object with exactly one node key")
@@ -479,6 +474,12 @@ def main(argv=None) -> int:
         return EXIT_OK
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except RecursionError:
+        # The document parser and the tree walks recurse once per level.
+        print(
+            "error: the construction is nested too deeply to evaluate", file=sys.stderr
+        )
         return EXIT_PARSE
     except (UnsupportedNode, UnsupportedSum, TooManyTerms) as exc:
         print(f"error: {exc}", file=sys.stderr)

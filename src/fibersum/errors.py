@@ -43,7 +43,9 @@ class TorusUnavailable(CalculusError):
 
 
 class BadParameter(CalculusError):
-    """Nonsensical numeric parameter (e.g. a chain of zero blocks)."""
+    """Nonsensical parameter: a chain of zero blocks, or a torus name that
+    the series text cannot carry (empty, or holding whitespace or one of
+    + - * ( ) ^)."""
 
 
 # ---------------------------------------------------------------- swseries

@@ -17,6 +17,7 @@ than derived.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -36,6 +37,10 @@ _BLOCK_NUMBERS = {
 
 _K3_DEFAULT_TORI = ("T1", "T2", "T3")
 
+# A torus name is written bare inside exp(...) in the series text, so it
+# may hold no whitespace, sign, product sign, parenthesis or caret.
+_BAD_TORUS_NAME = re.compile(r"[\s+\-*()^]")
+
 
 @dataclass(frozen=True)
 class TorusRecord:
@@ -50,6 +55,14 @@ class TorusRecord:
 class Block:
     kind: str
     tori: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for i, name in enumerate(self.tori):
+            if not name or _BAD_TORUS_NAME.search(name):
+                raise BadParameter(
+                    f"tori[{i}]: torus name {name!r} is empty or holds "
+                    "whitespace or one of + - * ( ) ^"
+                )
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@
 LaurentPoly is Z[t, t^-1] stored sparsely as {exponent: coefficient}.
 GroupRingElt is the integral group ring of a free abelian group whose
 generators are named torus classes; an element stores its symbol table
-(the "lattice", a sorted tuple of names) and a sparse map from integer
-exponent vectors to coefficients.  FactoredSeries is an integer times a
-product of non-constant one-variable Laurent polynomials in independent
-named classes, the form the Seiberg-Witten gluing rules produce; it
-expands to a GroupRingElt on request.
+(the "lattice", the sorted tuple of the names its terms use) and a sparse
+map from integer exponent vectors to coefficients.  FactoredSeries is an
+integer times a product of primitive non-constant one-variable Laurent
+polynomials in independent named classes, the form the Seiberg-Witten
+gluing rules produce; it expands to a GroupRingElt on request.  Both
+series types are canonical from construction, so equality and hashing
+read their fields, and equal values hash alike across the two types.
 
 All three types are immutable by convention: every operation returns a fresh
 value and nothing mutates shared state, so values can be shared freely
@@ -26,7 +28,47 @@ from .errors import NotDivisible
 _TERM_RE = re.compile(r"^(?:(\d+)\s*\*?\s*)?(?:t(?:\^(-?\d+))?)$")
 
 
-class LaurentPoly:
+class _SparseRing:
+    """The operations both sparse rings derive from their terms map and
+    their own +, unary -, *, one() and _coerce."""
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers are only defined for units")
+        result = self.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class LaurentPoly(_SparseRing):
     """Integer Laurent polynomial in one variable t.
 
     terms maps exponent -> nonzero coefficient; the zero polynomial is the
@@ -58,9 +100,6 @@ class LaurentPoly:
         return cls({1: 1})
 
     # ---------------------------------------------------------- queries
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def degree(self) -> int:
@@ -102,15 +141,6 @@ class LaurentPoly:
     def __neg__(self):
         return LaurentPoly({e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -123,18 +153,6 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are only defined for units")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division in Z[t, t^-1].
@@ -197,17 +215,9 @@ class LaurentPoly:
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return f"LaurentPoly({self})"
-
     # ---------------------------------------------------------- text form
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
@@ -216,11 +226,8 @@ class LaurentPoly:
             else:
                 var = "t" if e == 1 else f"t^{e}"
                 body = var if abs(c) == 1 else f"{abs(c)}{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return _joined_terms(parts)
 
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly":
@@ -294,30 +301,34 @@ def _relocate(vec, index_map, size):
 
 
 def _monomial_text(lattice, vec) -> str:
+    """'A - 2*B' for the vector (1, -2) over ('A', 'B'); the empty string
+    for the zero vector."""
     pieces = []
     for name, k in zip(lattice, vec):
         if k == 0:
             continue
         body = name if abs(k) == 1 else f"{abs(k)}*{name}"
-        if not pieces:
-            pieces.append(body if k > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if k > 0 else f"- {body}")
-    return " ".join(pieces)
+        pieces.append(f"+ {body}" if k > 0 else f"- {body}")
+    return _joined_terms(pieces) if pieces else ""
 
 
-class GroupRingElt:
+class GroupRingElt(_SparseRing):
     """Element of the integral group ring over a lattice of torus classes.
 
     A term maps an exponent vector v to a coefficient c and denotes
     c * exp(sum v_i * class_i).  Adding group elements multiplies the
     exponentials, so ring multiplication convolves over vector addition.
+    The constructor drops zero coefficients and keeps only the lattice
+    names that some term uses, in sorted order, so each element has one
+    form and equality compares the fields.
     """
 
     __slots__ = ("lattice", "terms")
 
     def __init__(self, lattice=(), terms=None):
         lattice = tuple(lattice)
+        if len(set(lattice)) != len(lattice):
+            raise ValueError(f"lattice names repeat: {lattice}")
         clean: dict[tuple[int, ...], int] = {}
         for vec, c in (terms or {}).items():
             vec = tuple(vec)
@@ -325,6 +336,13 @@ class GroupRingElt:
                 raise ValueError("exponent vector does not fit the lattice")
             if c != 0:
                 clean[vec] = c
+        used = sorted(
+            (name, i) for i, name in enumerate(lattice) if any(v[i] for v in clean)
+        )
+        order = [i for _, i in used]
+        if order != list(range(len(lattice))):
+            lattice = tuple(name for name, _ in used)
+            clean = {tuple(v[i] for i in order): c for v, c in clean.items()}
         self.lattice = lattice
         self.terms = clean
 
@@ -349,9 +367,6 @@ class GroupRingElt:
 
     # ---------------------------------------------------------- queries
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def constant_coeff(self) -> int:
         zero = (0,) * len(self.lattice)
         return self.terms.get(zero, 0)
@@ -360,15 +375,6 @@ class GroupRingElt:
         """(exponent vector, coefficient) for every term, in ascending
         lexicographic order."""
         return sorted(self.terms.items())
-
-    def pruned(self) -> "GroupRingElt":
-        """Drop lattice symbols that no term touches (canonical form)."""
-        if not self.terms:
-            return GroupRingElt.zero()
-        used = [i for i in range(len(self.lattice)) if any(v[i] for v in self.terms)]
-        lattice = tuple(self.lattice[i] for i in used)
-        terms = {tuple(vec[i] for i in used): c for vec, c in self.terms.items()}
-        return GroupRingElt(lattice, terms)
 
     # ---------------------------------------------------------- arithmetic
 
@@ -393,15 +399,6 @@ class GroupRingElt:
     def __neg__(self):
         return GroupRingElt(self.lattice, {v: -c for v, c in self.terms.items()})
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -415,18 +412,6 @@ class GroupRingElt:
         return GroupRingElt(lattice, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are only defined for units")
-        result = GroupRingElt.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def conjugate(self) -> "GroupRingElt":
         """The involution exp(K) -> exp(-K) on every term."""
@@ -449,18 +434,11 @@ class GroupRingElt:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        _, a, b = self._aligned(other)
-        return a == b
+        return self.lattice == other.lattice and self.terms == other.terms
 
     def __hash__(self):
-        canon = self.pruned()
-        return hash((canon.lattice, tuple(sorted(canon.terms.items()))))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __repr__(self):
-        return f"GroupRingElt({self})"
+        """The hash FactoredSeries shares (see there)."""
+        return hash((self.lattice, len(self.terms), self.constant_coeff()))
 
     # ---------------------------------------------------------- text form
 
@@ -671,19 +649,22 @@ def substitute_exp(p: LaurentPoly, cv: ClassVector) -> GroupRingElt:
 
 
 class FactoredSeries:
-    """An integer scalar times a product of non-constant one-variable
-    Laurent polynomials in independent classes.
+    """An integer scalar times a product of primitive non-constant
+    one-variable Laurent polynomials in independent classes.
 
     factors maps a torus class name to a LaurentPoly in t = exp(class)
     with a term of nonzero exponent, in sorted name order; lattice is the
-    tuple of those names, the lattice of the pruned expansion.  The
-    constructor folds every constant factor into scalar, and a zero factor
-    makes scalar 0 and drops all factors, so the zero series is scalar 0.
-    Since the variables are independent, nothing cancels: the terms are
-    the Cartesian product of the factors' terms, so counts, order and text
-    are all read off the factors without expanding.  The factors are
-    unique only up to moving constants between them and scalar, so
-    equality and hashing go through the expansion.
+    tuple of those names, the lattice of the expansion.  The constructor
+    folds every constant factor into scalar, and a zero factor makes
+    scalar 0 and drops all factors, so the zero series is scalar 0.  It
+    divides every other factor by its content (the gcd of its
+    coefficients), signed so that f(1) > 0, or the leading coefficient
+    when f(1) = 0, and multiplies scalar by that.  A product of primitive
+    polynomials is primitive (Gauss's lemma) and the variables are
+    independent, so this form is unique: equality compares the fields.
+    Nothing cancels either: the terms are the Cartesian product of the
+    factors' terms, so counts, order and text are all read off the
+    factors without expanding.
     """
 
     __slots__ = ("factors", "scalar", "lattice")
@@ -693,7 +674,13 @@ class FactoredSeries:
         for name in sorted(factors):
             f = factors[name]
             if f.terms.keys() - {0}:
+                content = math.gcd(*f.terms.values())
+                if (f.evaluate_unit(1) or f.terms[f.degree]) < 0:
+                    content = -content
+                if content != 1:
+                    f = LaurentPoly({e: c // content for e, c in f.terms.items()})
                 kept[name] = f
+                scalar *= content
             else:
                 scalar *= f.coeff(0)
         self.factors = kept if scalar else {}
@@ -748,7 +735,7 @@ class FactoredSeries:
             yield vec, self.scalar * math.prod(cs)
 
     def expand(self) -> GroupRingElt:
-        """The dense group ring element, over the pruned lattice."""
+        """The dense group ring element, over the same lattice."""
         return GroupRingElt(self.lattice, dict(self.sorted_terms()))
 
     def __str__(self):
@@ -784,14 +771,19 @@ class FactoredSeries:
         return _joined_terms(parts)
 
     def __eq__(self, other):
+        """Fields against a FactoredSeries; against a GroupRingElt or an
+        int, the expansion, only when the hashes agree."""
         if isinstance(other, FactoredSeries):
-            other = other.expand()
-        elif not isinstance(other, (GroupRingElt, int)):
+            return self.scalar == other.scalar and self.factors == other.factors
+        other = GroupRingElt._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self.expand() == other
+        return hash(self) == hash(other) and self.expand() == other
 
     def __hash__(self):
-        return hash(self.expand())
+        """hash((lattice, term count, constant coefficient)), read off the
+        factors: the same as the expansion's GroupRingElt hash."""
+        return hash((self.lattice, self.term_count(), self.constant_coeff()))
 
     def __bool__(self):
         return bool(self.scalar)

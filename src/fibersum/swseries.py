@@ -215,7 +215,7 @@ def _expand_runs(runs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
 class SWReport:
     """Basic-class summary of a series.
 
-    series is the pruned dense series or a FactoredSeries; both print the
+    series is the dense series or a FactoredSeries; both print the
     same canonical text.  count is the number of nonzero basic classes
     (2 per pair +-K); rank is the rank of the integer span of the classes;
     coeff_runs is the multiset of |coefficient| over the pairs, as sorted
@@ -282,13 +282,12 @@ def basic_classes(series: GroupRingElt, cn: CharNumbers) -> SWReport:
     """Read the basic classes off a conjugation-symmetric dense series:
     the reference that factored_report is tested against."""
     _require_symmetric(series, cn)
-    canon = series.pruned()
-    a0 = canon.constant_coeff()
-    count = len(canon.terms) - (a0 != 0)
-    positives = dict(_positive_half(canon, count, a0))
+    a0 = series.constant_coeff()
+    count = len(series.terms) - (a0 != 0)
+    positives = dict(_positive_half(series, count, a0))
     rank = integer_rank([list(vec) for vec in positives])
     runs = Counter(abs(c) for c in positives.values())
-    return SWReport(canon, a0, count, rank, tuple(sorted(runs.items())))
+    return SWReport(series, a0, count, rank, tuple(sorted(runs.items())))
 
 
 def factored_report(series: FactoredSeries, cn: CharNumbers) -> SWReport:

@@ -93,7 +93,7 @@ def dense_text(series: GroupRingElt) -> str:
 def dense_report_json(series: GroupRingElt, cn) -> dict:
     if not check_conjugation_symmetry(series, cn):
         raise AsymmetricSeries(str(series))
-    canon = series.pruned()
+    canon = series
     positives = sorted(v for v in canon.terms if _lex_positive(v))
     return {
         "a0": canon.constant_coeff(),

@@ -7,12 +7,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import CHAIN_KNOTS, rational_chain, refused_sw_trees, seeded_chains, sw_trees
 from dense_oracle import dense_sw_stdout, dense_text
 from fibersum import (
     BraidWord,
+    available_tori,
+    block,
+    connected_sum,
+    fiber_sum,
     fiber_sum_chain,
+    knot_surgery,
     null_log_transform,
     stable_normal_form,
     surgered_chain,
@@ -22,6 +29,7 @@ from fibersum import (
 from fibersum.cli import _emit, construction_to_doc, main, normal_form_text, parse_construction
 from fibersum import cli, swseries
 from fibersum.errors import UnsupportedNode
+from fibersum.manifolds import BLOCK_NAMES, Block
 from fibersum.ring import FactoredSeries, GroupRingElt
 
 TREFOIL_BRAID = {"strands": 2, "word": [1, 1, 1]}
@@ -479,6 +487,70 @@ def test_admitted_torus_names_round_trip(tmp_path, capsys):
     series = sw_factors(parse_construction(doc))
     assert text == "exp(2*B\\) - 1 + exp(-2*B\\)"
     assert GroupRingElt.parse(text) == series
+
+
+# Every torus name a K3 block admits: nonempty, with no whitespace and
+# none of + - * ( ) ^.
+admitted_names = st.text(
+    st.characters(exclude_characters="+-*()^", exclude_categories=("Cs",)),
+    min_size=1,
+    max_size=4,
+).filter(lambda name: not any(ch.isspace() for ch in name))
+
+
+@st.composite
+def library_trees(draw, depth=3):
+    """Trees built through the library builders, on K3 blocks whose tori
+    take admitted names."""
+    if depth == 0 or draw(st.booleans()):
+        kind = draw(st.sampled_from(BLOCK_NAMES))
+        if kind != "K3":
+            return block(kind)
+        names = draw(st.lists(admitted_names, min_size=3, max_size=3, unique=True))
+        return Block("K3", tuple(names))
+    left = draw(library_trees(depth - 1))
+    op = draw(st.sampled_from(["csum", "fsum", "surgery", "logt"]))
+    if op in ("surgery", "logt"):
+        free = available_tori(left)
+        if not free:
+            return left
+        torus = draw(st.sampled_from(free))
+        if op == "logt":
+            return null_log_transform(left, torus)
+        return knot_surgery(left, torus, BraidWord(2, (1, 1, 1)))
+    right = draw(library_trees(depth - 1))
+    left_free, right_free = available_tori(left), available_tori(right)
+    if op == "csum" or not left_free or not right_free:
+        return connected_sum(left, right)
+    return fiber_sum(
+        left, draw(st.sampled_from(left_free)), right, draw(st.sampled_from(right_free))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(library_trees())
+def test_property_library_tree_document_round_trip(tree):
+    doc = json.loads(json.dumps(construction_to_doc(tree)))
+    assert parse_construction(doc) == tree
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"XN": 990}),
+        '{"csum": [' * 1500 + '{"block": "K3"}' + ', {"block": "CP2"}]}' * 1500,
+    ],
+    ids=["XN-990", "csum-1500"],
+)
+def test_too_deep_tree_exit_2(tmp_path, capsys, text):
+    # The recursive document parser and tree walks run out of stack; the
+    # run ends with one error line, not a traceback.
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main(["invariants", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the construction is nested too deeply to evaluate\n"
 
 
 def test_closed_stdout_ends_quietly(tmp_path):

@@ -22,6 +22,7 @@ from fibersum.errors import (
     TorusUnavailable,
     UnknownBlock,
 )
+from fibersum.manifolds import Block
 
 
 # ------------------------------------------------------------------ blocks
@@ -30,6 +31,19 @@ from fibersum.errors import (
 def test_k3_block_tori():
     k3 = block("K3")
     assert available_tori(k3) == ("T1", "T2", "T3")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["", "A B", "A\tB", "A\nB", "A+B", "A-B", "2*A", "A(", "A)", "A^2"],
+    ids=["empty", "space", "tab", "newline", "plus", "minus", "star", "open", "close",
+         "caret"],
+)
+def test_block_refuses_unwritable_torus_name(bad):
+    # The series text writes torus names bare inside exp(...), so a tree
+    # built in the library is held to the rule documents are.
+    with pytest.raises(BadParameter, match=r"^tori\[1\]: torus name .* is empty"):
+        Block("K3", ("T1", bad, "T3"))
 
 
 def test_other_blocks_have_no_tori():

@@ -1,5 +1,6 @@
 """Laurent polynomial and group ring arithmetic."""
 
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from fibersum import ClassVector, GroupRingElt, LaurentPoly, substitute_exp
 from fibersum.errors import NotDivisible
+from fibersum.ring import FactoredSeries
 
 T = LaurentPoly.t()
 ONE = LaurentPoly.one()
@@ -56,6 +58,15 @@ def test_mul_square_of_trefoil_poly():
 def test_pow():
     assert lp({1: 1, 0: 1}) ** 3 == lp({3: 1, 2: 3, 1: 3, 0: 1})
     assert lp({5: 3}) ** 0 == ONE
+
+
+def test_foreign_operand_is_a_type_error():
+    for value in (T, exp_of(T=1)):
+        assert 1 - value == -(value - 1)
+        with pytest.raises(TypeError):
+            "x" - value
+        with pytest.raises(TypeError):
+            value - "x"
 
 
 # ------------------------------------------------------------------ division
@@ -141,6 +152,10 @@ def test_gr_mixed_lattices_merge():
     prod = a * b
     assert prod.lattice == ("A", "B")
     assert prod == GroupRingElt(("A", "B"), {(1, 1): 1})
+    # Unsorted names, one of them unused: the canonical form, field for field.
+    unsorted = GroupRingElt(("C", "B", "A"), {(0, 1, 1): 1})
+    assert (unsorted.lattice, unsorted.terms) == (prod.lattice, prod.terms)
+    assert unsorted == prod and hash(unsorted) == hash(prod)
 
 
 def test_gr_conjugate():
@@ -327,3 +342,42 @@ def test_substitution_is_multiplicative():
         p = _random_poly(rng)
         q = _random_poly(rng)
         assert substitute_exp(p * q, c) == substitute_exp(p, c) * substitute_exp(q, c)
+
+
+# ------------------------------------------------------------ factored series
+
+# Factors in up to three classes: zero (empty), constant, content > 1 and
+# either sign all occur.
+factor_dicts = st.dictionaries(
+    st.sampled_from("ABC"),
+    st.dictionaries(st.integers(-2, 2), st.integers(-4, 4), max_size=3).map(
+        LaurentPoly
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    factor_dicts,
+    st.dictionaries(st.sampled_from("ABC"), st.sampled_from([-3, -2, -1, 2, 3])),
+    st.integers(-3, 3),
+    factor_dicts,
+)
+def test_property_factored_canonical_form(factors, moved, scalar, other):
+    # a and b are the same product with constants moved between the
+    # factors and scalar and with negated copies; c is drawn freely.
+    m = math.prod(k for n, k in moved.items() if n in factors)
+    a = FactoredSeries({n: f * moved.get(n, 1) for n, f in factors.items()}, scalar)
+    b = FactoredSeries(factors, scalar * m)
+    c = FactoredSeries(other, scalar)
+    for x, y in ((a, b), (a, c), (b, c)):
+        assert (x == y) == (x.expand() == y.expand())
+    assert a == b and hash(a) == hash(b)
+    for x in (a, b, c):
+        dense = x.expand()
+        assert x == dense and dense == x and hash(x) == hash(dense)
+        assert (x == x.constant_coeff()) == (not x.factors)
+        for f in x.factors.values():
+            assert math.gcd(*f.terms.values()) == 1
+            assert (f.evaluate_unit(1) or f.terms[f.degree]) > 0

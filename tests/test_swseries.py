@@ -459,6 +459,21 @@ def test_factored_symmetry_check_never_expands(monkeypatch):
     assert check_conjugation_symmetry(FactoredSeries.one(), K3_NUMBERS)
 
 
+def test_long_chain_report_compares_and_hashes_without_expanding(monkeypatch):
+    a, b = sw_report(fiber_sum_chain(50)), sw_report(fiber_sum_chain(50))  # 3^49 terms
+    other = sw_report(surgered_chain(2, [TREFOIL, TREFOIL], UNKNOT, UNKNOT))
+
+    def refuse(*args):
+        raise AssertionError("the series was expanded")
+
+    monkeypatch.setattr(FactoredSeries, "expand", refuse)
+    monkeypatch.setattr(FactoredSeries, "sorted_terms", refuse)
+    assert a == b and hash(a) == hash(b)
+    assert a.series == b.series and hash(a.series) == hash(b.series)
+    assert a != other and a.series != other.series
+    assert len({a, b, other}) == 2
+
+
 def test_report_runs_match_multiset():
     y = surgered_chain(2, [TREFOIL, FIGURE_EIGHT], UNKNOT, UNKNOT)
     report = sw_report(y)
