@@ -7,13 +7,18 @@ Two independent routes compute the same invariant:
   normalizes.
 * ``alexander_oracle`` builds a Seifert matrix directly from braid-band
   linking numbers and returns det(V - t V^T), normalized the same way.
+  Its cycles are listed left to right along the braid, and at most n - 1
+  of them span any point of the word, so V's nonzero entries lie near the
+  diagonal.
 
 Both routes take their determinant with ``linalg.laurent_det``, which
-substitutes t = 2^B into the Laurent matrix, takes one integer Bareiss
-determinant and reads the coefficients back as signed base-2^B digits.  B
-comes from a Hadamard-type bound: no coefficient of the determinant exceeds
-prod_r sqrt(sum_c ||p_rc||_1^2), so the digits never overlap.  The routes
-share only that determinant and polynomial arithmetic.
+substitutes t = 2^B into the Laurent matrix, takes one lazy integer
+Bareiss determinant and reads the coefficients back as signed base-2^B
+digits.  B comes from a Hadamard-type bound: no coefficient of the
+determinant exceeds prod_r sqrt(sum_c ||p_rc||_1^2), so the digits never
+overlap.  The lazy Bareiss skips the rows whose leading entry is 0, so the
+oracle's cost follows the band of V, not its full size.  The routes share
+only that determinant and polynomial arithmetic.
 
 Both are exact; the test suite insists they agree on every knot they are
 handed.  Normalization fixes the symmetric representative with value 1 at
@@ -219,12 +224,17 @@ def seifert_matrix(braid: BraidWord):
 
     The surface is the usual one from the braid form: one disk per strand,
     one twisted band per letter.  A homology basis has one cycle per pair
-    of consecutive bands of the same generator; linking numbers of pushed-
-    off cycles follow three local rules (self-linking from the two band
-    twists, one shared-band rule, one interleaving rule for adjacent
-    generators).  The handedness convention is fixed by anchoring to table
-    values of low-crossing knots; any consistent choice gives the same
-    normalized Alexander polynomial.
+    of consecutive bands of the same generator, and the cycles are listed
+    left to right along the braid, by their first band.  Linking numbers
+    of pushed-off cycles follow three local rules (self-linking from the
+    two band twists, one shared-band rule, one interleaving rule for
+    adjacent generators).  Only cycles whose spans overlap link, and at
+    most n - 1 cycles span any point of the word, so in this order the
+    nonzero entries of V lie near the diagonal, which the lazy Bareiss of
+    ``laurent_det`` exploits; a simultaneous row and column permutation
+    leaves det(V - t V^T) unchanged.  The handedness convention is fixed
+    by anchoring to table values of low-crossing knots; any consistent
+    choice gives the same normalized Alexander polynomial.
     """
     if closure_components(braid) != 1:
         raise NotAKnot(f"closure of {braid} has {closure_components(braid)} components")
@@ -232,10 +242,10 @@ def seifert_matrix(braid: BraidWord):
     for pos, letter in enumerate(braid.word):
         occurrences.setdefault(abs(letter), []).append(pos)
     cycles = []  # (generator, first band position, second band position)
-    for gen in sorted(occurrences):
-        pos = occurrences[gen]
+    for gen, pos in occurrences.items():
         for k in range(len(pos) - 1):
             cycles.append((gen, pos[k], pos[k + 1]))
+    cycles.sort(key=lambda cyc: cyc[1])
     index = {cyc: i for i, cyc in enumerate(cycles)}
     size = len(cycles)
     v = [[0] * size for _ in range(size)]
@@ -273,8 +283,12 @@ def alexander_oracle(braid: BraidWord) -> LaurentPoly:
     size = len(v)
     if size == 0:
         return LaurentPoly.one()
+    zero = LaurentPoly.zero()
     m = [
-        [LaurentPoly({0: v[r][c], 1: -v[c][r]}) for c in range(size)]
+        [
+            LaurentPoly({0: v[r][c], 1: -v[c][r]}) if v[r][c] or v[c][r] else zero
+            for c in range(size)
+        ]
         for r in range(size)
     ]
     return _symmetric_normalize(laurent_det(m))

@@ -213,6 +213,9 @@ class LaurentPoly(_SparseRing):
         return self.terms == other.terms
 
     def __hash__(self):
+        """A constant hashes as its int, which it equals."""
+        if self.terms.keys() <= {0}:
+            return hash(self.coeff(0))
         return hash(tuple(sorted(self.terms.items())))
 
     # ---------------------------------------------------------- text form
@@ -437,7 +440,10 @@ class GroupRingElt(_SparseRing):
         return self.lattice == other.lattice and self.terms == other.terms
 
     def __hash__(self):
-        """The hash FactoredSeries shares (see there)."""
+        """The hash FactoredSeries shares (see there).  A constant has the
+        empty lattice and hashes as its int, which it equals."""
+        if not self.lattice:
+            return hash(self.constant_coeff())
         return hash((self.lattice, len(self.terms), self.constant_coeff()))
 
     # ---------------------------------------------------------- text form
@@ -782,7 +788,10 @@ class FactoredSeries:
 
     def __hash__(self):
         """hash((lattice, term count, constant coefficient)), read off the
-        factors: the same as the expansion's GroupRingElt hash."""
+        factors: the same as the expansion's GroupRingElt hash.  With no
+        factors the series is the int scalar and hashes as it."""
+        if not self.lattice:
+            return hash(self.scalar)
         return hash((self.lattice, self.term_count(), self.constant_coeff()))
 
     def __bool__(self):

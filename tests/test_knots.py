@@ -28,7 +28,7 @@ from fibersum import (
     seifert_matrix,
 )
 from fibersum.errors import NotAKnot, TooFewStrands
-from fibersum.linalg import laurent_det
+from fibersum.linalg import _integer_det, laurent_det
 
 
 def lp(terms):
@@ -182,6 +182,20 @@ def test_seifert_matrix_trefoil():
     assert {v[0][1], v[1][0]} == {0, -1}
 
 
+def test_seifert_matrix_band_order():
+    """T(3,4) = (sigma_1 sigma_2)^4: the cycles are listed by their first
+    band, so the two generators' cycles alternate and V is banded."""
+    v = seifert_matrix(BraidWord(3, (1, 2) * 4))
+    assert v == [
+        [1, 1, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0, 0],
+        [-1, -1, 1, 1, 0, 0],
+        [0, -1, 0, 1, 0, 0],
+        [0, 0, -1, -1, 1, 1],
+        [0, 0, 0, -1, 0, 1],
+    ]
+
+
 def test_published_table_values_both_routes():
     for braid, expected in TABLE.items():
         assert alexander(braid) == expected
@@ -261,6 +275,17 @@ def test_property_burau_equals_seifert(braid):
     assert alexander(braid) == alexander_oracle(braid)
 
 
+@settings(max_examples=60, deadline=None)
+@given(knot_braids())
+def test_property_seifert_form_is_unimodular(braid):
+    """V - V^T is the intersection form of a Seifert surface of a knot,
+    so its determinant is +-1 in whatever order the cycles come."""
+    v = seifert_matrix(braid)
+    size = len(v)
+    form = [[v[r][c] - v[c][r] for c in range(size)] for r in range(size)]
+    assert abs(_integer_det(form)) == 1
+
+
 def test_oracle_long_torus_knot():
     braid = BraidWord(2, (1,) * 81)
     start = time.perf_counter()
@@ -268,3 +293,10 @@ def test_oracle_long_torus_knot():
     assert time.perf_counter() - start < 3
     assert delta == alexander(braid)
     assert delta == LaurentPoly({e: (-1) ** (40 - e) for e in range(-40, 41)})
+
+
+def test_oracle_torus_knot_161():
+    braid = BraidWord(2, (1,) * 161)
+    delta = alexander_oracle(braid)
+    assert delta == LaurentPoly({e: (-1) ** (80 - e) for e in range(-80, 81)})
+    assert delta == alexander(braid)

@@ -1,4 +1,8 @@
-"""Determinants by Kronecker substitution, checked against Laurent Bareiss."""
+"""Determinants by Kronecker substitution, checked against Laurent Bareiss,
+and the lazy integer Bareiss underneath, checked against cofactor expansion."""
+
+import functools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +10,7 @@ from hypothesis import strategies as st
 
 from bareiss_oracle import laurent_bareiss_det
 from fibersum import LaurentPoly
-from fibersum.linalg import laurent_det
+from fibersum.linalg import _integer_det, laurent_det
 
 entries = st.one_of(
     st.just(LaurentPoly.zero()),
@@ -91,3 +95,74 @@ def test_hadamard_polynomial_entries():
     ]
     assert laurent_det(m) == laurent_bareiss_det(m)
 
+
+
+def _cofactor_det(m) -> int:
+    """Laplace expansion along the rows, memoized on the set of columns
+    still free: O(2^n n) for size n, and no elimination at all."""
+    n = len(m)
+
+    @functools.cache
+    def minor(row, cols):
+        if row == n:
+            return 1
+        total, sign = 0, 1
+        for c in range(n):
+            if cols >> c & 1:
+                if m[row][c]:
+                    total += sign * m[row][c] * minor(row + 1, cols & ~(1 << c))
+                sign = -sign
+        return total
+
+    return minor(0, (1 << n) - 1)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices of size 0-8 in the shapes that exercise the
+    lazy rows: rows whose leading entries stay 0 for several steps and are
+    then picked as the pivot, after other rows moved the pivots on."""
+    n = draw(st.integers(0, 8))
+    shape = draw(
+        st.sampled_from(
+            ["dense", "zero leading column", "tridiagonal", "banded",
+             "permuted identity", "staircase", "singular"]
+        )
+    )
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    width = rng.randint(0, n)
+
+    def entry(r, c):
+        if shape == "permuted identity":
+            return int(r == c)
+        if shape == "tridiagonal" and abs(r - c) > 1:
+            return 0
+        if shape == "banded" and not -1 <= c - r <= width:
+            return 0
+        return rng.randint(-9, 9)
+
+    m = [[entry(r, c) for c in range(n)] for r in range(n)]
+    if shape == "zero leading column":
+        for row in m:
+            row[0] = 0
+    elif shape == "staircase":
+        # Row r starts at a column drawn for it, so after shuffling some
+        # rows wait several steps before their leading entry is nonzero.
+        for row in m:
+            start = rng.randint(0, n - 1)
+            row[:start] = [0] * start
+    elif shape == "singular" and n:
+        # A row that is a combination of two others, or a zero row.
+        r, s, u = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        k = rng.randint(-3, 3)
+        m[r] = [k * x + y for x, y in zip(m[s], m[u])] if r not in (s, u) else [0] * n
+    if shape in ("banded", "tridiagonal", "permuted identity", "staircase"):
+        rng.shuffle(m)
+    return m
+
+
+@settings(max_examples=600, deadline=None)
+@given(integer_matrices())
+def test_property_integer_det_equals_cofactor_expansion(m):
+    expected = _cofactor_det(m)
+    assert _integer_det([list(row) for row in m]) == expected

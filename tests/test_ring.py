@@ -158,6 +158,21 @@ def test_gr_mixed_lattices_merge():
     assert unsorted == prod and hash(unsorted) == hash(prod)
 
 
+@pytest.mark.parametrize("c", [0, 1, -1, 3, -7, 2**70])
+def test_constants_hash_as_their_int(c):
+    values = [
+        LaurentPoly({0: c}),
+        GroupRingElt.constant(c),
+        FactoredSeries({}, c),
+        FactoredSeries({"A": LaurentPoly({0: c})}),
+    ]
+    for v in values:
+        assert v == c and hash(v) == hash(c)
+        assert len({c, v}) == 1
+    # Across the two series types, and against the expansion.
+    assert len({values[1], values[2], values[3], values[2].expand()}) == 1
+
+
 def test_gr_conjugate():
     sym = exp_of(T=2) - 1 + exp_of(T=-2)
     assert sym.conjugate() == sym
