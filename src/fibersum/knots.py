@@ -28,6 +28,7 @@ consistent sign convention below produces the same answers.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import NotAKnot, TooFewStrands
@@ -228,10 +229,14 @@ def seifert_matrix(braid: BraidWord):
     left to right along the braid, by their first band.  Linking numbers
     of pushed-off cycles follow three local rules (self-linking from the
     two band twists, one shared-band rule, one interleaving rule for
-    adjacent generators).  Only cycles whose spans overlap link, and at
-    most n - 1 cycles span any point of the word, so in this order the
-    nonzero entries of V lie near the diagonal, which the lazy Bareiss of
-    ``laurent_det`` exploits; a simultaneous row and column permutation
+    adjacent generators).  Each cycle finds its partners by lookups, not
+    scans: the shared-band partner is the cycle that starts at its second
+    band, and bisecting the adjacent generator's band positions finds the
+    two of its cycles that can interleave, the one entering the cycle's
+    span and the one leaving it.  Only cycles whose spans overlap link,
+    and at most n - 1 cycles span any point of the word, so in this order
+    the nonzero entries of V lie near the diagonal, which the lazy Bareiss
+    of ``laurent_det`` exploits; a simultaneous row and column permutation
     leaves det(V - t V^T) unchanged.  The handedness convention is fixed
     by anchoring to table values of low-crossing knots; any consistent
     choice gives the same normalized Alexander polynomial.
@@ -246,32 +251,33 @@ def seifert_matrix(braid: BraidWord):
         for k in range(len(pos) - 1):
             cycles.append((gen, pos[k], pos[k + 1]))
     cycles.sort(key=lambda cyc: cyc[1])
-    index = {cyc: i for i, cyc in enumerate(cycles)}
+    # A band position starts at most one cycle: the one to the next band
+    # of its generator.
+    start = {first: i for i, (_, first, _) in enumerate(cycles)}
     size = len(cycles)
     v = [[0] * size for _ in range(size)]
     sign_at = [1 if letter > 0 else -1 for letter in braid.word]
-    for cyc in cycles:
-        gen, first, second = cyc
-        a = index[cyc]
+    for a, (gen, first, second) in enumerate(cycles):
         # Self-linking: each band half-twist contributes half its sign.
         v[a][a] = (sign_at[first] + sign_at[second]) // 2
         # Consecutive cycles of one generator share the middle band.
-        for other in cycles:
-            if other[0] == gen and other[1] == second:
-                b = index[other]
-                e = sign_at[second]
-                v[a][b] += (1 - e) // 2
-                v[b][a] += -(1 + e) // 2
-        # Interleaved cycles of adjacent generators link once.
-        for other in cycles:
-            if other[0] != gen + 1:
-                continue
-            b = index[other]
-            r1, r2 = other[1], other[2]
-            if first < r1 < second < r2:
-                v[a][b] += 1
-            elif r1 < first < r2 < second:
-                v[a][b] -= 1
+        b = start.get(second)
+        if b is not None:
+            e = sign_at[second]
+            v[a][b] += (1 - e) // 2
+            v[b][a] += -(1 + e) // 2
+        # Interleaved cycles of adjacent generators link once.  Of the
+        # cycles of gen + 1, only the one entering the span (first, second)
+        # and the one leaving it interleave with this cycle; bands[i:j]
+        # are that generator's bands inside the span.
+        bands = occurrences.get(gen + 1, [])
+        i = bisect_right(bands, first)
+        j = bisect_left(bands, second)
+        if i < j:
+            if i > 0:
+                v[a][start[bands[i - 1]]] -= 1
+            if j < len(bands):
+                v[a][start[bands[j - 1]]] += 1
     return v
 
 

@@ -17,12 +17,12 @@ than derived.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from typing import Union
 
 from .errors import BadParameter, NotAKnot, TorusUnavailable, UnknownBlock
 from .knots import BraidWord, closure_components
+from .ring import NAME
 
 BLOCK_NAMES = ("K3", "CP2", "CP2bar", "S2xS2", "S2twS2")
 
@@ -36,10 +36,6 @@ _BLOCK_NUMBERS = {
 }
 
 _K3_DEFAULT_TORI = ("T1", "T2", "T3")
-
-# A torus name is written bare inside exp(...) in the series text, so it
-# may hold no whitespace, sign, product sign, parenthesis or caret.
-_BAD_TORUS_NAME = re.compile(r"[\s+\-*()^]")
 
 
 @dataclass(frozen=True)
@@ -58,7 +54,7 @@ class Block:
 
     def __post_init__(self):
         for i, name in enumerate(self.tori):
-            if not name or _BAD_TORUS_NAME.search(name):
+            if not NAME.fullmatch(name):
                 raise BadParameter(
                     f"tori[{i}]: torus name {name!r} is empty or holds "
                     "whitespace or one of + - * ( ) ^"

@@ -11,6 +11,13 @@ gluing rules produce; it expands to a GroupRingElt on request.  Both
 series types are canonical from construction, so equality and hashing
 read their fields, and equal values hash alike across the two types.
 
+Each type prints one canonical text, a FactoredSeries that of its
+expansion.  LaurentPoly.parse and GroupRingElt.parse read it back through
+one signed-term reader, by the writers' grammar plus the lenient
+spellings their docstrings list, and raise ValueError on anything else.
+NAME is the class-name rule of that text; manifolds.Block admits exactly
+the torus names it matches.
+
 All three types are immutable by convention: every operation returns a fresh
 value and nothing mutates shared state, so values can be shared freely
 across threads.  Coefficients are Python ints, hence arbitrary precision.
@@ -24,8 +31,6 @@ import re
 from dataclasses import dataclass
 
 from .errors import NotDivisible
-
-_TERM_RE = re.compile(r"^(?:(\d+)\s*\*?\s*)?(?:t(?:\^(-?\d+))?)$")
 
 
 class _SparseRing:
@@ -234,22 +239,20 @@ class LaurentPoly(_SparseRing):
 
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly":
-        """Inverse of str(); accepts '2t^-1', '2*t', 't - 1 + t^-1', '0'."""
-        s = text.strip()
-        if not s:
-            raise ValueError("empty polynomial text")
-        if s == "0":
-            return cls.zero()
+        """Inverse of str().  Reads signed terms: an integer 'c', or
+        'ct^e' where c and '^e' may be left out (each then reads 1) and
+        c may be followed by '*'.  Spaces may stand around signs and '*',
+        and the first term may carry '+': '2t^-1', '2*t - 3 + 2*t^-1',
+        't - 1 + t^-1' and '0' all parse.  A term after the first needs
+        its own sign and '^' its exponent right after it, so '1 -',
+        '- -1', '2 3', '*t' and 't^ -2' raise ValueError, as does the
+        empty text."""
         out: dict[int, int] = {}
-        for sign, body in _split_signed_terms(s):
-            if re.fullmatch(r"\d+", body):
-                e, c = 0, int(body)
+        for sign, m in _signed_terms(text, _POLY_TERM):
+            if m["k"] is not None:
+                e, c = 0, int(m["k"])
             else:
-                m = _TERM_RE.match(body)
-                if not m:
-                    raise ValueError(f"bad polynomial term: {body!r}")
-                c = int(m.group(1)) if m.group(1) else 1
-                e = int(m.group(2)) if m.group(2) else 1
+                e, c = int(m["e"] or 1), int(m["c"] or 1)
             out[e] = out.get(e, 0) + sign * c
         return cls(out)
 
@@ -301,6 +304,12 @@ def _relocate(vec, index_map, size):
     for i, x in enumerate(vec):
         out[index_map[i]] = x
     return tuple(out)
+
+
+# A class name as the series text writes it, bare inside exp(...): it holds
+# no whitespace, sign, product sign, parenthesis or caret, so the reader
+# finds where it ends.  Block admits exactly these torus names.
+NAME = re.compile(r"[^\s+\-*()^]+")
 
 
 def _monomial_text(lattice, vec) -> str:
@@ -456,41 +465,28 @@ class GroupRingElt(_SparseRing):
 
     @classmethod
     def parse(cls, text: str) -> "GroupRingElt":
-        """Inverse of str() on canonical output."""
-        s = text.strip()
-        if not s:
-            raise ValueError("empty group ring text")
-        if s == "0":
-            return cls.zero()
-        names: set[str] = set()
-        parsed = []
-        for sign, body in _split_signed_terms(s):
-            m = re.fullmatch(r"(?:(\d+)\*)?exp\((.*)\)", body)
-            if m:
-                coeff = sign * (int(m.group(1)) if m.group(1) else 1)
-                inner = m.group(2).strip()
-                vec: dict[str, int] = {}
-                for isign, ibody in _split_signed_terms(inner):
-                    im = re.fullmatch(r"(?:(\d+)\*)?(\S+)", ibody)
-                    if not im:
-                        raise ValueError(f"bad exponent term: {ibody!r}")
-                    k = isign * (int(im.group(1)) if im.group(1) else 1)
-                    name = im.group(2)
-                    vec[name] = vec.get(name, 0) + k
-                names.update(vec)
-                parsed.append((coeff, vec))
-            elif re.fullmatch(r"\d+", body):
-                parsed.append((sign * int(body), {}))
+        """Inverse of str().  Reads signed terms 'c', 'exp(x)' and
+        'c*exp(x)', where x is signed class terms 'N' or 'k*N' and N is a
+        class name (see NAME); spaces around signs and an optional leading
+        '+' are allowed, and '0' is the zero series.  A term after the
+        first needs its own sign, so 'exp(T1)exp(T2)', 'exp(A B)' and
+        'exp(T1 - -T2)' raise ValueError, as do a name outside NAME
+        ('exp(A(B)', 'exp(A^2)'), an empty 'exp()' and the empty text."""
+        read = []
+        for sign, m in _signed_terms(text, _SERIES_TERM):
+            vec: dict[str, int] = {}
+            if m["k"] is not None:
+                coeff = int(m["k"])
             else:
-                raise ValueError(f"bad group ring term: {body!r}")
-        lattice = tuple(sorted(names))
-        pos = {n: i for i, n in enumerate(lattice)}
+                coeff = int(m["c"] or 1)
+                for k_sign, km in _signed_terms(m["v"], _CLASS_TERM):
+                    name = km["n"]
+                    vec[name] = vec.get(name, 0) + k_sign * int(km["c"] or 1)
+            read.append((sign * coeff, vec))
+        lattice = tuple(sorted({name for _, vec in read for name in vec}))
         terms: dict[tuple[int, ...], int] = {}
-        for coeff, vec in parsed:
-            key = [0] * len(lattice)
-            for name, k in vec.items():
-                key[pos[name]] = k
-            key = tuple(key)
+        for coeff, vec in read:
+            key = tuple(vec.get(name, 0) for name in lattice)
             terms[key] = terms.get(key, 0) + coeff
         return cls(lattice, terms)
 
@@ -607,39 +603,32 @@ def product_terms(
         out.append(text.join(template))
 
 
-def _split_signed_terms(s: str):
-    """Split 'a - b + c' into (sign, body) pairs.  A sign inside
-    parentheses ('exp(T1 - T2)') or right after '^' (the exponent in
-    't^-2') stays in its term."""
+def _term_pattern(term: str) -> re.Pattern:
+    return re.compile(rf"\s*([+-]?)\s*(?:{term})\s*")
+
+
+_POLY_TERM = _term_pattern(
+    r"(?:(?P<c>\d+)\s*\*?\s*)?t(?:\^(?P<e>-?\d+))?|(?P<k>\d+)"
+)
+_SERIES_TERM = _term_pattern(r"(?:(?P<c>\d+)\*)?exp\((?P<v>[^()]*)\)|(?P<k>\d+)")
+_CLASS_TERM = _term_pattern(rf"(?:(?P<c>\d+)\*)?(?P<n>{NAME.pattern})")
+
+
+def _signed_terms(text: str, term: re.Pattern):
+    """(sign, match) for each term of text, read left to right by term:
+    optional whitespace, an optional sign, one term, optional whitespace.
+    Raise ValueError where no term matches, at the start of the text too,
+    and on a term after the first that has no sign."""
     out = []
-    depth = 0
-    sign = 1
-    buf = []
-    i = 0
-    if s and s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    while i < len(s):
-        ch = s[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and "".join(buf).rstrip()[-1:] != "^":
-            body = "".join(buf).strip()
-            if not body:
-                raise ValueError(f"dangling sign in {s!r}")
-            out.append((sign, body))
-            sign = -1 if ch == "-" else 1
-            buf = []
-        else:
-            buf.append(ch)
-        i += 1
-    body = "".join(buf).strip()
-    if not body:
-        raise ValueError(f"dangling sign in {s!r}")
-    out.append((sign, body))
-    return out
+    pos = 0
+    while True:
+        m = term.match(text, pos)
+        if m is None or (out and not m[1]):
+            raise ValueError(f"bad term at {pos}: {text[pos:pos + 30]!r}")
+        out.append((-1 if m[1] == "-" else 1, m))
+        pos = m.end()
+        if pos == len(text):
+            return out
 
 
 def substitute_exp(p: LaurentPoly, cv: ClassVector) -> GroupRingElt:

@@ -18,6 +18,7 @@ from corpus import (
     random_knot_braids,
     random_markov_move,
 )
+from seifert_oracle import all_pairs_seifert_matrix
 from fibersum import (
     BraidWord,
     LaurentPoly,
@@ -249,13 +250,13 @@ def test_stabilization_exact():
 
 
 @st.composite
-def knot_braids(draw):
-    """Braids on 2-7 strands of length at most 60 whose closure is a knot:
-    a random word, then one letter per extra component, each joining two
-    components of the closure."""
-    strands = draw(st.integers(2, 7))
+def knot_braids(draw, max_strands=7, max_length=60):
+    """Braids on 2 to max_strands strands of length at most max_length
+    whose closure is a knot: a random word, then one letter per extra
+    component, each joining two components of the closure."""
+    strands = draw(st.integers(2, max_strands))
     letters = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from([i, -i]))
-    length = draw(st.integers(0, 60 - strands))
+    length = draw(st.integers(0, max_length - strands))
     braid = BraidWord(strands, tuple(draw(st.lists(letters, min_size=length, max_size=length))))
     while (count := closure_components(braid)) > 1:
         joins = [
@@ -273,6 +274,14 @@ def knot_braids(draw):
 def test_property_burau_equals_seifert(braid):
     assert len(braid.word) <= 60
     assert alexander(braid) == alexander_oracle(braid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(knot_braids(max_strands=8, max_length=70))
+def test_property_seifert_matrix_equals_all_pairs(braid):
+    """The band lookups find exactly the partners the all-pairs scan does."""
+    assert len(braid.word) <= 70
+    assert seifert_matrix(braid) == all_pairs_seifert_matrix(braid)
 
 
 @settings(max_examples=60, deadline=None)

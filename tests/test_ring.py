@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibersum import ClassVector, GroupRingElt, LaurentPoly, substitute_exp
-from fibersum.errors import NotDivisible
+from fibersum import Block, ClassVector, GroupRingElt, LaurentPoly, substitute_exp
+from fibersum.errors import BadParameter, NotDivisible
 from fibersum.ring import FactoredSeries
 
 T = LaurentPoly.t()
@@ -277,6 +277,61 @@ def test_property_gr_text_round_trip(g):
     text = str(g)
     assert GroupRingElt.parse(text) == g
     assert str(GroupRingElt.parse(text)) == text
+
+
+@pytest.mark.parametrize(
+    "cls, text",
+    [
+        (GroupRingElt, "exp(T1)exp(T2)"),
+        (GroupRingElt, "exp(A(B)"),
+        (GroupRingElt, "exp(A)B)"),
+        (GroupRingElt, "exp()"),
+        (GroupRingElt, "exp(A B)"),
+        (GroupRingElt, "exp(A^2)"),
+        (GroupRingElt, "exp(T1 - -T2)"),
+        (GroupRingElt, ""),
+        (LaurentPoly, "1 -"),
+        (LaurentPoly, "- -1"),
+        (LaurentPoly, "t^ -2"),
+        (LaurentPoly, "2 3"),
+        (LaurentPoly, "*t"),
+        (LaurentPoly, ""),
+    ],
+)
+def test_parse_refuses_text_no_writer_produces(cls, text):
+    with pytest.raises(ValueError):
+        cls.parse(text)
+
+
+def test_parse_lenient_forms():
+    assert LaurentPoly.parse("2t^-1") == lp({-1: 2})
+    assert LaurentPoly.parse("t - 1 + t^-1") == lp({1: 1, 0: -1, -1: 1})
+    assert LaurentPoly.parse("0") == ZERO
+    assert LaurentPoly.parse("+ t") == T
+    assert GroupRingElt.parse("0") == GroupRingElt.zero()
+    assert GroupRingElt.parse("+exp(A) - 2") == exp_of(A=1) - 2
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=6),
+        st.text(st.sampled_from(list("A7:0e,[] \t+-*()^")), max_size=6),
+    )
+)
+def test_property_block_admits_exactly_the_names_the_reader_reads(name):
+    """A torus name is admitted by Block exactly when the series reader
+    reads exp(name) back as the one class name."""
+    try:
+        Block("K3", (name, "B", "C"))
+        admitted = True
+    except BadParameter:
+        admitted = False
+    try:
+        read = GroupRingElt.parse(f"exp({name})").lattice == (name,)
+    except ValueError:
+        read = False
+    assert admitted == read
 
 
 # ------------------------------------------------------------------ properties
