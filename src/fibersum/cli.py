@@ -17,13 +17,14 @@ Construction documents are JSON trees:
     {"Y": {"N": N, "mid": [BRAID...], "first": BRAID, "last": BRAID}}
 
 with BRAID = {"strands": N, "word": [ints]}.  A "tori" entry may not be
-empty or hold whitespace or any of + - * ( ) ^, since the series text
-writes torus names bare.  Parse errors carry a path into the document and
-exit with code 2, as do trees nested too deeply for the recursive walks;
-unsupported invariant queries, and series too long to write out (over
-swseries.TERM_BUDGET terms), exit 3; non-knot braids exit 4; other
-violated preconditions exit 5.  A reader that closes stdout early ends
-the run quietly with code 0.
+empty, hold whitespace or any of + - * ( ) ^, since the series text
+writes torus names bare, or repeat another entry.  Each domain error exits
+with its class's exit_code (errors.py): parse errors carry a path into the
+document and exit with code 2, as do trees nested too deeply for the
+recursive walks; unsupported invariant queries, and series too long to
+write out (over swseries.TERM_BUDGET terms), exit 3; non-knot braids exit
+4; other violated preconditions exit 5.  A reader that closes stdout early
+ends the run quietly with code 0.
 """
 
 from __future__ import annotations
@@ -37,11 +38,7 @@ from .errors import (
     BadParameter,
     CalculusError,
     DocumentError,
-    NotAKnot,
-    TooManyTerms,
     UnknownBlock,
-    UnsupportedNode,
-    UnsupportedSum,
 )
 from .families import (
     DISTINCT,
@@ -69,14 +66,10 @@ from .manifolds import (
     null_log_transform,
     surgered_chain,
 )
-from .ring import FactoredSeries, product_terms
+from .ring import FactoredSeries, block_text, product_terms
 from .swseries import SWReport, factored_report, require_term_budget, sw_factors
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_UNSUPPORTED = 3
-EXIT_NOT_A_KNOT = 4
-EXIT_PRECONDITION = 5
 
 
 # ------------------------------------------------------------- documents
@@ -281,23 +274,35 @@ def sw_lines(report: SWReport, as_json: bool) -> list[str]:
 def _pairs_text(series: FactoredSeries) -> str:
     """The report's "pairs" entries written from the factors: the
     lexicographically positive class of each pair +-K with its
-    coefficient, in ascending order (ring.product_terms).  A series with
-    no factors, constant or zero, has no pairs and writes nothing."""
-    axes = []
-    for j, f in enumerate(series.factors.values()):
-        sep = ", " if j else ""
-        terms = sorted(f.terms.items())
-        axes.append([(e, c, f"{sep}{e}", f"{sep}{e}") for e, c in terms])
+    coefficient, in ascending order.  Every exponent is written as ', e';
+    each positive prefix over the first half of the factors is one
+    ring.block_text over the terms of the second half, and the zero
+    prefix writes those of its terms that are positive.  A series with no
+    factors, constant or zero, has no pairs and writes nothing."""
+    axes = [
+        [(e, c, f", {e}") for e, c in sorted(f.terms.items())]
+        for f in series.factors.values()
+    ]
+    half = (len(axes) + 1) // 2
+    rest = product_terms(axes[half:], 1)
+    templates: dict[int, list[str]] = {}
     out: list[str] = []
-    product_terms(
-        axes,
-        series.scalar,
-        lambda k: ('{"class": [', f'], "coeff": {k}}}'),
-        ", ",
-        out,
-        positive_only=True,
-    )
+    for text, k, sign in product_terms(axes[:half], series.scalar):
+        if sign > 0:
+            out.append(block_text(text[2:], k, rest, _pair_ends, ", ", templates))
+        elif not sign:
+            # Each term is its class text joined into its (open, close).
+            out += [
+                (text + tail)[2:].join(_pair_ends(k * c))
+                for tail, c, tail_sign in rest
+                if tail_sign > 0
+            ]
     return ", ".join(out)
+
+
+def _pair_ends(k: int) -> tuple[str, str]:
+    """(open, close) of a "pairs" entry of coefficient k."""
+    return '{"class": [', f'], "coeff": {k}}}'
 
 
 # ------------------------------------------------------------- subcommands
@@ -472,24 +477,15 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except RecursionError:
         # The document parser and the tree walks recurse once per level.
         print(
             "error: the construction is nested too deeply to evaluate", file=sys.stderr
         )
-        return EXIT_PARSE
-    except (UnsupportedNode, UnsupportedSum, TooManyTerms) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except NotAKnot as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_A_KNOT
+        return DocumentError.exit_code
     except CalculusError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return exc.exit_code
 
 
 if __name__ == "__main__":

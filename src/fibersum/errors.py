@@ -1,13 +1,17 @@
 """Exception hierarchy shared by all modules.
 
-Every domain failure raised by this package derives from CalculusError, so
-callers (in particular the command line front end) can map failures to exit
-codes without enumerating modules.
+Every domain failure raised by this package derives from CalculusError and
+carries the command line's exit code for it: 2 for a document that does not
+parse or validate, 3 for an unsupported query or a series too long to write,
+4 for a braid closure that is not a knot, and 5 for every other violated
+precondition.
 """
 
 
 class CalculusError(Exception):
     """Base class for all domain errors raised by fibersum."""
+
+    exit_code = 5
 
 
 # ---------------------------------------------------------------- ring
@@ -26,6 +30,8 @@ class NotAKnot(CalculusError):
     """A braid closure with more than one component was passed where a
     knot is required."""
 
+    exit_code = 4
+
 
 # ---------------------------------------------------------------- manifolds
 
@@ -43,9 +49,9 @@ class TorusUnavailable(CalculusError):
 
 
 class BadParameter(CalculusError):
-    """Nonsensical parameter: a chain of zero blocks, or a torus name that
+    """Nonsensical parameter: a chain of zero blocks, a torus name that
     the series text cannot carry (empty, or holding whitespace or one of
-    + - * ( ) ^)."""
+    + - * ( ) ^), or a torus name that repeats in its block."""
 
 
 # ---------------------------------------------------------------- swseries
@@ -54,10 +60,14 @@ class UnsupportedNode(CalculusError):
     """The invariant engine has no formula for this node (null log
     transforms, trees outside the generated grammar)."""
 
+    exit_code = 3
+
 
 class UnsupportedSum(CalculusError):
     """Connected sum outside the vanishing cases (a blow-up formula would
     be required)."""
+
+    exit_code = 3
 
 
 class AsymmetricSeries(CalculusError):
@@ -72,9 +82,13 @@ class BadSignExponent(CalculusError):
 class TooManyTerms(CalculusError):
     """Writing the series out term by term would exceed the term budget."""
 
+    exit_code = 3
+
 
 # ---------------------------------------------------------------- cli
 
 class DocumentError(CalculusError):
     """Construction document failed to parse or validate; the message
     carries a path into the document."""
+
+    exit_code = 2

@@ -100,11 +100,13 @@ class BraidWord:
 
 def closure_components(braid: BraidWord) -> int:
     """Number of components of the braid closure (cycles of the strand
-    permutation)."""
-    ends = braid.permutation()
-    seen = [False] * braid.strands
-    count = 0
-    for start in range(braid.strands):
+    permutation).  The strands past the highest letter's are fixed, each a
+    component of its own, so only the strands the word moves are walked."""
+    moved = max(map(abs, braid.word), default=0) + 1
+    ends = BraidWord(moved, braid.word).permutation()
+    seen = [False] * moved
+    count = braid.strands - moved
+    for start in range(moved):
         if seen[start]:
             continue
         count += 1

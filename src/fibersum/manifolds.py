@@ -59,6 +59,8 @@ class Block:
                     f"tori[{i}]: torus name {name!r} is empty or holds "
                     "whitespace or one of + - * ( ) ^"
                 )
+            if name in self.tori[:i]:
+                raise BadParameter(f"tori[{i}]: torus name {name!r} repeats")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,13 @@ series types are canonical from construction, so equality and hashing
 read their fields, and equal values hash alike across the two types.
 
 Each type prints one canonical text, a FactoredSeries that of its
-expansion.  LaurentPoly.parse and GroupRingElt.parse read it back through
+expansion, written from the factors without expanding.  Every term is
+first written in the form it takes after the first (' + x', ' - 2*x'),
+and one rule, _first, rewrites the leading one.  product_terms lists the
+terms of a product of factors, and block_text writes the terms that share
+a prefix as one str.join of the prefix text into a template; the series
+writer here and the report's pairs writer (cli) are built from the two.
+LaurentPoly.parse and GroupRingElt.parse read it back through
 one signed-term reader, by the writers' grammar plus the lenient
 spellings their docstrings list, and raise ValueError on anything else.
 NAME is the class-name rule of that text; manifolds.Block admits exactly
@@ -234,7 +240,7 @@ class LaurentPoly(_SparseRing):
             else:
                 var = "t" if e == 1 else f"t^{e}"
                 body = var if abs(c) == 1 else f"{abs(c)}{var}"
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            parts.append(f" + {body}" if c > 0 else f" - {body}")
         return _joined_terms(parts)
 
     @classmethod
@@ -312,16 +318,20 @@ def _relocate(vec, index_map, size):
 NAME = re.compile(r"[^\s+\-*()^]+")
 
 
+def _class_term(name: str, k: int) -> str:
+    """k * name in the form of a term after the first: ' + A', ' - 2*A';
+    the empty string for k = 0."""
+    if not k:
+        return ""
+    body = name if abs(k) == 1 else f"{abs(k)}*{name}"
+    return f" + {body}" if k > 0 else f" - {body}"
+
+
 def _monomial_text(lattice, vec) -> str:
     """'A - 2*B' for the vector (1, -2) over ('A', 'B'); the empty string
     for the zero vector."""
-    pieces = []
-    for name, k in zip(lattice, vec):
-        if k == 0:
-            continue
-        body = name if abs(k) == 1 else f"{abs(k)}*{name}"
-        pieces.append(f"+ {body}" if k > 0 else f"- {body}")
-    return _joined_terms(pieces) if pieces else ""
+    text = "".join(map(_class_term, lattice, vec))
+    return _first(text) if text else ""
 
 
 class GroupRingElt(_SparseRing):
@@ -458,9 +468,12 @@ class GroupRingElt(_SparseRing):
     # ---------------------------------------------------------- text form
 
     def __str__(self):
-        return _series_text(
-            (_monomial_text(self.lattice, vec), self.terms[vec])
-            for vec in sorted(self.terms, reverse=True)
+        heads = _Heads()
+        return _joined_terms(
+            [
+                heads.term("".join(map(_class_term, self.lattice, vec)), c)
+                for vec, c in sorted(self.terms.items(), reverse=True)
+            ]
         )
 
     @classmethod
@@ -491,116 +504,81 @@ class GroupRingElt(_SparseRing):
         return cls(lattice, terms)
 
 
-def _series_text(terms) -> str:
-    """Canonical text of a series from (monomial text, coefficient) pairs
-    in descending order; an empty monomial is the constant term."""
-    heads = _Heads()
-    return _joined_terms(
-        [f"{heads[c]}{mono})" if mono else _constant_term(c) for mono, c in terms]
-    )
-
-
 class _Heads(dict):
     """Coefficient -> the text of a term up to its monomial, in the form
-    of a term after the first: '+ exp(', '- 2*exp('.  Each text is
+    of a term after the first: ' + exp(', ' - 2*exp('.  Each text is
     rendered once, on first lookup."""
 
     def __missing__(self, c):
         body = "exp(" if abs(c) == 1 else f"{abs(c)}*exp("
-        head = self[c] = f"+ {body}" if c > 0 else f"- {body}"
+        head = self[c] = f" + {body}" if c > 0 else f" - {body}"
         return head
 
+    def ends(self, c: int) -> tuple[str, str]:
+        """(open, close) of the term of coefficient c, for block_text."""
+        return self[c], ")"
 
-def _constant_term(c: int) -> str:
-    return f"+ {c}" if c > 0 else f"- {-c}"
+    def term(self, tail: str, c: int) -> str:
+        """The term c * exp(tail), tail in the form of a term after the
+        first (' + A - 2*B'); the constant term c when tail is empty."""
+        if not tail:
+            return f" + {c}" if c > 0 else f" - {-c}"
+        return f"{self[c]}{_first(tail)})"
+
+
+def _first(text: str) -> str:
+    """Rewrite text that starts in the form of a term after the first as
+    the first term: _first(' + A - B') == 'A - B', _first(' - A') == '-A'."""
+    return text[3:] if text[1] == "+" else f"-{text[3:]}"
 
 
 def _joined_terms(parts: list[str]) -> str:
     """Join term texts written in the form of a term after the first
-    ('+ x', '- x'), rewriting the first one as 'x' or '-x'."""
+    (' + x', ' - x'), rewriting the first one by _first; '0' for none."""
     if not parts:
         return "0"
-    first = parts[0]
-    parts[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
-    return " ".join(parts)
+    parts[0] = _first(parts[0])
+    return "".join(parts)
 
 
-def product_terms(
-    axes,
-    scalar: int,
-    ends,
-    sep: str,
-    out: list[str],
-    *,
-    constant=None,
-    positive_only: bool = False,
-    lead: str = "",
-) -> None:
-    """Append to out the text of each term of scalar times the product of
-    axes, in the order of the axes.
+def product_terms(axes, scalar: int) -> list[tuple[str, int, int]]:
+    """(text, coefficient, sign of the first nonzero exponent) for each
+    term of scalar times the product of axes, in the order of the axes.
 
-    axes holds, for each factor, its (exponent, coefficient, first, later)
-    in the order wanted: first is the exponent's text in a term whose
-    earlier exponents are all zero, later its text otherwise.  A term with
-    coefficient k is written as open, its exponent texts and close, where
-    (open, close) = ends(k); lead is the text of exponents written before
-    the first axis, all zero.  A term whose exponents are all zero is
-    written as constant(k), or skipped when constant is None.  With
-    positive_only, the terms whose first nonzero exponent is negative are
-    skipped too.
-
-    The text of each prefix over the first half of the axes is written
-    once.  For each prefix coefficient k, one template holds the terms
-    over the second half, joined by sep, so the terms of a prefix are one
-    str.join of its text into the template.  The zero prefix, whose
-    terms take their first exponent text in the second half, recurses on
-    that half with its text as lead.
+    axes holds, for each factor, its steps (exponent, coefficient, text)
+    in the order wanted; the text of a term is its steps' texts in axis
+    order.
     """
-    if not axes:
-        if constant is not None:
-            out.append(constant(scalar))
-        return
-    half = (len(axes) + 1) // 2
-    prefixes = [(lead, scalar, 0)]  # text, coefficient, sign of the first nonzero
-    for steps in axes[:half]:
-        prefixes = [
-            (f"{text}{later if sign else first}", k * c, sign or (e > 0) - (e < 0))
-            for text, k, sign in prefixes
-            for e, c, first, later in steps
+    terms = [("", scalar, 0)]
+    for steps in axes:
+        terms = [
+            (f"{text}{step}", k * c, sign or (e > 0) - (e < 0))
+            for text, k, sign in terms
+            for e, c, step in steps
         ]
-    rest = [("", 1)]
-    for steps in axes[half:]:
-        rest = [
-            (f"{text}{later}", k * c) for text, k in rest for _, c, _, later in steps
+    return terms
+
+
+def block_text(text: str, k: int, rest, ends, sep: str, templates) -> str:
+    """The terms of one prefix, of text and coefficient k, times each
+    (tail, c, _) of rest, joined by sep: the term of coefficient m = k * c
+    is open, text, tail and close, where (open, close) = ends(m).
+
+    templates maps k to the terms with text left out, built on first use,
+    so a block is one str.join of text into its template.
+    """
+    template = templates.get(k)
+    if template is None:
+        texts = [(tail, *ends(k * c)) for tail, c, _ in rest]  # tail, open, close
+        template = templates[k] = [
+            texts[0][1],
+            *[
+                f"{tail}{close}{sep}{following}"
+                for (tail, _, close), (_, following, _) in zip(texts, texts[1:])
+            ],
+            f"{texts[-1][0]}{texts[-1][2]}",
         ]
-    templates: dict[int, list[str]] = {}
-    for text, k, sign in prefixes:
-        if not sign:
-            product_terms(
-                axes[half:],
-                k,
-                ends,
-                sep,
-                out,
-                constant=constant,
-                positive_only=positive_only,
-                lead=text,
-            )
-            continue
-        if sign < 0 and positive_only:
-            continue
-        template = templates.get(k)
-        if template is None:
-            texts = [(tail, *ends(k * c)) for tail, c in rest]  # tail, open, close
-            template = templates[k] = [
-                texts[0][1],
-                *[
-                    f"{tail}{close}{sep}{following}"
-                    for (tail, _, close), (_, following, _) in zip(texts, texts[1:])
-                ],
-                f"{texts[-1][0]}{texts[-1][2]}",
-            ]
-        out.append(text.join(template))
+    return text.join(template)
 
 
 def _term_pattern(term: str) -> re.Pattern:
@@ -735,34 +713,27 @@ class FactoredSeries:
 
     def __str__(self):
         """Same text as str() of the expansion, written from the factors
-        without expanding: each factor's exponent texts and each
-        coefficient's sign and magnitude text are rendered once, and the
-        terms are joined in blocks that share a monomial prefix (see
-        product_terms)."""
+        without expanding.  Each exponent's text is rendered once, in the
+        form it takes after the first (' + A', ' - 2*A').  The terms over
+        the first half of the factors are the prefixes: each prefix with
+        a nonzero exponent is one block_text over the terms of the second
+        half, and the zero prefix writes those terms one by one."""
         if not self.scalar:
             return "0"
-        axes = []
-        for name, f in self.factors.items():
-            steps = []
-            for e, c in sorted(f.terms.items(), reverse=True):
-                body = name if abs(e) == 1 else f"{abs(e)}*{name}"
-                if not e:
-                    steps.append((e, c, "", ""))
-                elif e > 0:
-                    steps.append((e, c, body, f" + {body}"))
-                else:
-                    steps.append((e, c, f"-{body}", f" - {body}"))
-            axes.append(steps)
+        axes = [
+            [(e, c, _class_term(name, e)) for e, c in sorted(f.terms.items(), reverse=True)]
+            for name, f in self.factors.items()
+        ]
+        half = (len(axes) + 1) // 2
+        rest = product_terms(axes[half:], 1)
         heads = _Heads()
-        parts: list[str] = []
-        product_terms(
-            axes,
-            self.scalar,
-            lambda k: (heads[k], ")"),
-            " ",
-            parts,
-            constant=_constant_term,
-        )
+        templates: dict[int, list[str]] = {}
+        parts = []
+        for text, k, sign in product_terms(axes[:half], self.scalar):
+            if sign:
+                parts.append(block_text(_first(text), k, rest, heads.ends, "", templates))
+            else:
+                parts += [heads.term(text + tail, k * c) for tail, c, _ in rest]
         return _joined_terms(parts)
 
     def __eq__(self, other):

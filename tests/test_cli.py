@@ -243,6 +243,14 @@ def test_alexander_link_exit_4(capsys):
     capsys.readouterr()
 
 
+def test_alexander_huge_split_braid_exit_4(capsys):
+    # The strands the word never moves are counted, not allocated.
+    assert main(["alexander", "--strands", "1000000000", "--word", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: closure of 1000000000; 1 has 999999999 components\n"
+
+
 def test_alexander_bad_letter_exit_2(capsys):
     assert main(["alexander", "--strands", "2", "--word", "3"]) == 2
     capsys.readouterr()
@@ -476,6 +484,14 @@ def test_unwritable_torus_name_exit_2(tmp_path, capsys, bad):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: $.tori[1]: torus name")
+
+
+def test_repeated_torus_name_exit_2(tmp_path, capsys):
+    doc = {"block": "K3", "tori": ["B", "B", "C"]}
+    assert main(["sw", write(tmp_path, "t.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: $.tori[1]: torus name 'B' repeats\n"
 
 
 def test_admitted_torus_names_round_trip(tmp_path, capsys):

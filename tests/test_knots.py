@@ -92,6 +92,12 @@ def test_closure_components_split_strand():
     assert closure_components(BraidWord(3, (1, 1, 1))) == 2
 
 
+def test_closure_components_counts_unmoved_strands():
+    assert closure_components(BraidWord(10**9, (1,))) == 10**9 - 1
+    assert closure_components(BraidWord(10**9, ())) == 10**9
+    assert closure_components(BraidWord(5, (2, -3, 2))) == 4
+
+
 # ------------------------------------------------------------------ Burau
 
 

@@ -46,6 +46,13 @@ def test_block_refuses_unwritable_torus_name(bad):
         Block("K3", ("T1", bad, "T3"))
 
 
+@pytest.mark.parametrize("tori, i", [(("B", "B", "C"), 1), (("B", "C", "B"), 2)])
+def test_block_refuses_repeated_torus_name(tori, i):
+    # A repeated name would silently drop one of the block's tori.
+    with pytest.raises(BadParameter, match=rf"^tori\[{i}\]: torus name 'B' repeats$"):
+        Block("K3", tori)
+
+
 def test_other_blocks_have_no_tori():
     for name in ("CP2", "CP2bar", "S2xS2", "S2twS2"):
         assert available_tori(block(name)) == ()
@@ -140,6 +147,14 @@ def test_knot_surgery_rejects_links():
 
     with pytest.raises(NotAKnot):
         knot_surgery(block("K3"), "T1", BraidWord(2, (1, 1)))
+
+
+def test_knot_surgery_rejects_huge_split_braid():
+    # Strands the word never moves are counted, not allocated.
+    from fibersum import BraidWord
+
+    with pytest.raises(NotAKnot):
+        knot_surgery(block("K3"), "T1", BraidWord(10**9, (1,)))
 
 
 def test_repeated_surgery_permitted():

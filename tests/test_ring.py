@@ -1,5 +1,6 @@
 """Laurent polynomial and group ring arithmetic."""
 
+import json
 import math
 import random
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import dense_text
 from fibersum import Block, ClassVector, GroupRingElt, LaurentPoly, substitute_exp
+from fibersum.cli import _pairs_text
 from fibersum.errors import BadParameter, NotDivisible
 from fibersum.ring import FactoredSeries
 
@@ -321,9 +324,10 @@ def test_parse_lenient_forms():
 )
 def test_property_block_admits_exactly_the_names_the_reader_reads(name):
     """A torus name is admitted by Block exactly when the series reader
-    reads exp(name) back as the one class name."""
+    reads exp(name) back as the one class name.  The name stands alone in
+    its block, so no companion name can repeat it."""
     try:
-        Block("K3", (name, "B", "C"))
+        Block("K3", (name,))
         admitted = True
     except BadParameter:
         admitted = False
@@ -451,3 +455,11 @@ def test_property_factored_canonical_form(factors, moved, scalar, other):
         for f in x.factors.values():
             assert math.gcd(*f.terms.values()) == 1
             assert (f.evaluate_unit(1) or f.terms[f.degree]) > 0
+        # Both writers, zero prefix included, against the dense terms.
+        assert str(x) == dense_text(dense)
+        positive = [
+            {"class": list(v), "coeff": k}
+            for v, k in dense.sorted_terms()
+            if next((e for e in v if e), 0) > 0
+        ]
+        assert json.loads("[" + _pairs_text(x) + "]") == positive
