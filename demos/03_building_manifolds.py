@@ -7,13 +7,14 @@ knot surgery and log transforms keep the homotopy type fixed, which is
 why whole families of constructions share one set of numbers.
 """
 
+import json
+
 from fibersum import (
     BraidWord,
     available_tori,
     block,
     char_numbers,
     connected_sum,
-    debug_string,
     fiber_sum,
     fiber_sum_chain,
     knot_surgery,
@@ -21,6 +22,7 @@ from fibersum import (
     surgered_chain,
     torus_records,
 )
+from fibersum.cli import construction_to_doc
 
 
 def show(label, c):
@@ -42,7 +44,7 @@ show("CP2 # CP2bar", connected_sum(block("CP2"), block("CP2bar")))
 # tori are consumed, and their homology class survives under one name.
 pair = fiber_sum(block("K3", copy=1), "T[1,3]", block("K3", copy=2), "T[2,1]")
 show("(K3,T[1,3]) # (K3,T[2,1])", pair)
-print("  tree:", debug_string(pair))
+print("  tree:", json.dumps(construction_to_doc(pair)))
 consumed = [n for n, r in torus_records(pair).items() if r.status == "consumed"]
 print("  consumed tori:", ", ".join(sorted(consumed)))
 print("  available tori:", ", ".join(available_tori(pair)))

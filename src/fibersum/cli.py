@@ -19,12 +19,13 @@ Construction documents are JSON trees:
 with BRAID = {"strands": N, "word": [ints]}.  A "tori" entry may not be
 empty, hold whitespace or any of + - * ( ) ^, since the series text
 writes torus names bare, or repeat another entry.  Each domain error exits
-with its class's exit_code (errors.py): parse errors carry a path into the
-document and exit with code 2, as do trees nested too deeply for the
-recursive walks; unsupported invariant queries, and series too long to
-write out (over swseries.TERM_BUDGET terms), exit 3; non-knot braids exit
-4; other violated preconditions exit 5.  A reader that closes stdout early
-ends the run quietly with code 0.
+with its class's exit_code (errors.py) and one stderr line: parse errors,
+which carry a path into the document, trees over DEPTH_LIMIT levels and
+trees nested too deeply for the recursive walks exit 2; unsupported
+invariant queries, series over swseries.TERM_BUDGET terms and braids over
+knots.BURAU_BUDGET strands x letters exit 3; non-knot braids exit 4; other
+violated preconditions exit 5.  A reader that closes stdout early ends the
+run quietly with code 0.
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ from .ring import FactoredSeries, block_text, product_terms
 from .swseries import SWReport, factored_report, require_term_budget, sw_factors
 
 EXIT_OK = 0
+
+# Deepest tree {"XN": N} (N levels), {"Y": ...} (2N + 2) or family --N (N plus
+# slots) may build.  Builders recurse once a level; {"XN": 945} was the deepest
+# that finished inside pytest at 1,000 frames, so 800 keeps a 145-frame margin.
+DEPTH_LIMIT = 800
 
 
 # ------------------------------------------------------------- documents
@@ -117,61 +123,63 @@ def parse_construction(doc, path: str = "$") -> Construction:
     if len(doc) != 1:
         raise DocumentError(f"{path}: expected an object with exactly one node key")
     key, value = next(iter(doc.items()))
-    try:
-        if key == "csum":
-            if not isinstance(value, list) or len(value) != 2:
-                raise DocumentError(f"{path}.csum: expected [left, right]")
-            return connected_sum(
-                parse_construction(value[0], f"{path}.csum[0]"),
-                parse_construction(value[1], f"{path}.csum[1]"),
-            )
-        if key == "fsum":
-            _require_keys(value, {"left", "lt", "right", "rt"}, f"{path}.fsum")
-            return fiber_sum(
-                parse_construction(value["left"], f"{path}.fsum.left"),
-                _require_str(value["lt"], f"{path}.fsum.lt"),
-                parse_construction(value["right"], f"{path}.fsum.right"),
-                _require_str(value["rt"], f"{path}.fsum.rt"),
-            )
-        if key == "surgery":
-            _require_keys(value, {"on", "torus", "braid"}, f"{path}.surgery")
-            return knot_surgery(
-                parse_construction(value["on"], f"{path}.surgery.on"),
-                _require_str(value["torus"], f"{path}.surgery.torus"),
-                parse_braid_doc(value["braid"], f"{path}.surgery.braid"),
-            )
-        if key == "logt":
-            _require_keys(value, {"on", "torus"}, f"{path}.logt")
-            return null_log_transform(
-                parse_construction(value["on"], f"{path}.logt.on"),
-                _require_str(value["torus"], f"{path}.logt.torus"),
-            )
-        if key == "XN":
-            if not _is_int(value):
-                raise DocumentError(f"{path}.XN: expected an integer")
-            return fiber_sum_chain(value)
-        if key == "Y":
-            _require_keys(value, {"N", "mid", "first", "last"}, f"{path}.Y")
-            n = value["N"]
-            if not _is_int(n):
-                raise DocumentError(f"{path}.Y.N: expected an integer")
-            if not isinstance(value["mid"], list):
-                raise DocumentError(f"{path}.Y.mid: expected a list of braids")
-            mid = [
-                parse_braid_doc(b, f"{path}.Y.mid[{i}]")
-                for i, b in enumerate(value["mid"])
-            ]
-            return surgered_chain(
-                n,
-                mid,
-                parse_braid_doc(value["first"], f"{path}.Y.first"),
-                parse_braid_doc(value["last"], f"{path}.Y.last"),
-            )
-    except CalculusError:
-        raise
-    except (TypeError, KeyError) as exc:
-        raise DocumentError(f"{path}: malformed node ({exc})") from exc
+    if key == "csum":
+        if not isinstance(value, list) or len(value) != 2:
+            raise DocumentError(f"{path}.csum: expected [left, right]")
+        return connected_sum(
+            parse_construction(value[0], f"{path}.csum[0]"),
+            parse_construction(value[1], f"{path}.csum[1]"),
+        )
+    if key == "fsum":
+        _require_keys(value, {"left", "lt", "right", "rt"}, f"{path}.fsum")
+        return fiber_sum(
+            parse_construction(value["left"], f"{path}.fsum.left"),
+            _require_str(value["lt"], f"{path}.fsum.lt"),
+            parse_construction(value["right"], f"{path}.fsum.right"),
+            _require_str(value["rt"], f"{path}.fsum.rt"),
+        )
+    if key == "surgery":
+        _require_keys(value, {"on", "torus", "braid"}, f"{path}.surgery")
+        return knot_surgery(
+            parse_construction(value["on"], f"{path}.surgery.on"),
+            _require_str(value["torus"], f"{path}.surgery.torus"),
+            parse_braid_doc(value["braid"], f"{path}.surgery.braid"),
+        )
+    if key == "logt":
+        _require_keys(value, {"on", "torus"}, f"{path}.logt")
+        return null_log_transform(
+            parse_construction(value["on"], f"{path}.logt.on"),
+            _require_str(value["torus"], f"{path}.logt.torus"),
+        )
+    if key == "XN":
+        if not _is_int(value):
+            raise DocumentError(f"{path}.XN: expected an integer")
+        _require_depth(value, f"{path}.XN")
+        return fiber_sum_chain(value)
+    if key == "Y":
+        _require_keys(value, {"N", "mid", "first", "last"}, f"{path}.Y")
+        n = value["N"]
+        if not _is_int(n):
+            raise DocumentError(f"{path}.Y.N: expected an integer")
+        _require_depth(2 * n + 2, f"{path}.Y.N")
+        if not isinstance(value["mid"], list):
+            raise DocumentError(f"{path}.Y.mid: expected a list of braids")
+        mid = [
+            parse_braid_doc(b, f"{path}.Y.mid[{i}]")
+            for i, b in enumerate(value["mid"])
+        ]
+        return surgered_chain(
+            n,
+            mid,
+            parse_braid_doc(value["first"], f"{path}.Y.first"),
+            parse_braid_doc(value["last"], f"{path}.Y.last"),
+        )
     raise DocumentError(f"{path}: unknown node key {key!r}")
+
+
+def _require_depth(n: int, where: str) -> None:
+    if n > DEPTH_LIMIT:
+        raise DocumentError(f"{where}: tree depth {n} is over the limit {DEPTH_LIMIT}")
 
 
 def _is_int(value) -> bool:
@@ -375,6 +383,7 @@ def cmd_family(args) -> int:
         slots[name] = [
             parse_braid_doc(b, f"$.{name}[{i}]") for i, b in enumerate(braids)
         ]
+    _require_depth(args.N + len(slots), "--N")
     members = family_generate(args.N, slots)
     report = family_report(members)
     print(_emit(report))

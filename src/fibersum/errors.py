@@ -2,9 +2,9 @@
 
 Every domain failure raised by this package derives from CalculusError and
 carries the command line's exit code for it: 2 for a document that does not
-parse or validate, 3 for an unsupported query or a series too long to write,
-4 for a braid closure that is not a knot, and 5 for every other violated
-precondition.
+parse or validate, 3 for an unsupported query, a series too long to write
+or a braid over the Burau budget, 4 for a braid closure that is not a knot,
+and 5 for every other violated precondition.  Messages are one short line.
 """
 
 
@@ -33,14 +33,16 @@ class NotAKnot(CalculusError):
     exit_code = 4
 
 
+class BraidTooLarge(CalculusError):
+    """A knot braid over knots.BURAU_BUDGET strands x letters."""
+
+    exit_code = 3
+
+
 # ---------------------------------------------------------------- manifolds
 
 class UnknownBlock(CalculusError):
     """Block name outside the supported building blocks."""
-
-
-class UnknownTorus(CalculusError):
-    """A torus name that does not resolve in the construction."""
 
 
 class TorusUnavailable(CalculusError):

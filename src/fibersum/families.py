@@ -29,7 +29,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import NotAKnot, UnknownTorus, UnsupportedNode
+from .errors import NotAKnot, TorusUnavailable, UnsupportedNode
 from .knots import BraidWord, closure_components
 from .manifolds import (
     Block,
@@ -41,7 +41,6 @@ from .manifolds import (
     NullLogTransform,
     available_tori,
     char_numbers,
-    debug_string,
     fiber_sum_chain,
     knot_surgery,
 )
@@ -96,7 +95,7 @@ def family_generate(
     open_tori = set(available_tori(base))
     for name in slots:
         if name not in open_tori:
-            raise UnknownTorus(f"{name!r} is not an available torus of the chain")
+            raise TorusUnavailable(f"{name!r} is not an available torus of the chain")
     for name, braids in slots.items():
         for braid in braids:
             if closure_components(braid) != 1:
@@ -150,14 +149,13 @@ def stable_normal_form(c: Construction) -> tuple[int, int]:
       rational chain (each S2twS2 splits as CP2 # CP2bar); these are
       fixed points, making the normal form idempotent.
 
-    Anything else raises UnsupportedNode: the rewrite encodes proved
-    diffeomorphisms only and does not invent new ones.
+    Anything else raises UnsupportedNode naming what broke the grammar: the
+    rewrite encodes proved diffeomorphisms only and does not invent new ones.
     """
     k3 = chains = 0
     rational: Counter[str] = Counter()
-    grammatical = True
     stack = [(c, False)]  # (node, inside a fiber sum)
-    while stack and grammatical:
+    while stack:
         node, in_fiber = stack.pop()
         if isinstance(node, (KnotSurgery, NullLogTransform)):
             stack.append((node.child, in_fiber))
@@ -168,18 +166,26 @@ def stable_normal_form(c: Construction) -> tuple[int, int]:
             k3 += 1
             chains += not in_fiber
         elif in_fiber:
-            grammatical = False  # a connected sum or rational block in a fiber sum
+            kind = f"{node.kind} block" if isinstance(node, Block) else "connected sum"
+            raise _outside(f"a {kind} inside a fiber sum")
         elif isinstance(node, ConnectedSum):
             stack += [(node.left, False), (node.right, False)]
         else:
             rational[node.kind] += 1
     twisted = rational.pop("S2twS2", 0)
-    if grammatical and chains == 1 and not rational:
+    if chains > 1:
+        raise _outside(f"a sum of {chains} K3 chains")
+    stray = sorted(rational.keys() - (set() if chains else {"CP2", "CP2bar"}))
+    if stray:
+        raise _outside(f"{', '.join(stray)} with {'a' if chains else 'no'} K3 chain")
+    if chains:
         extra = max(twisted - 1, 0)
         return 4 * k3 + extra, 20 * k3 + extra
-    if grammatical and chains == 0 and set(rational) <= {"CP2", "CP2bar"}:
-        return rational["CP2"] + twisted, rational["CP2bar"] + twisted
-    raise UnsupportedNode(f"outside the stabilization grammar: {debug_string(c)}")
+    return rational["CP2"] + twisted, rational["CP2bar"] + twisted
+
+
+def _outside(what: str) -> UnsupportedNode:
+    return UnsupportedNode(f"outside the stabilization grammar: {what}")
 
 
 def one_stabilization_equivalent(a: Construction, b: Construction) -> bool:

@@ -192,6 +192,13 @@ def _disambiguate(a: Construction, b: Construction):
     return b, (lambda name: prefix + name)
 
 
+def _require_available(c: Construction, torus: str, side: str = "") -> None:
+    """Raise TorusUnavailable unless torus is an available torus of c."""
+    rec = torus_records(c).get(torus)
+    if rec is None or rec.status != "available":
+        raise TorusUnavailable(f"{side}torus {torus!r} is not available")
+
+
 # ------------------------------------------------------------- operations
 
 
@@ -211,15 +218,8 @@ def fiber_sum(a: Construction, a_torus: str, b: Construction, b_torus: str) -> F
     """
     b, rename = _disambiguate(a, b)
     b_torus = rename(b_torus)
-    left_records = torus_records(a)
-    right_records = torus_records(b)
-    for torus, records, side in (
-        (a_torus, left_records, "left"),
-        (b_torus, right_records, "right"),
-    ):
-        rec = records.get(torus)
-        if rec is None or rec.status != "available":
-            raise TorusUnavailable(f"{side} torus {torus!r} is not available")
+    _require_available(a, a_torus, "left ")
+    _require_available(b, b_torus, "right ")
     return FiberSum(a, a_torus, b, b_torus)
 
 
@@ -232,9 +232,7 @@ def knot_surgery(a: Construction, torus: str, braid: BraidWord) -> KnotSurgery:
     hypotheses hold by construction.  Characteristic numbers are unchanged
     and the torus stays available (repeated surgery is permitted).
     """
-    rec = torus_records(a).get(torus)
-    if rec is None or rec.status != "available":
-        raise TorusUnavailable(f"torus {torus!r} is not available")
+    _require_available(a, torus)
     if closure_components(braid) != 1:
         raise NotAKnot(f"closure of {braid} is not a knot")
     return KnotSurgery(a, torus, braid)
@@ -243,9 +241,7 @@ def knot_surgery(a: Construction, torus: str, braid: BraidWord) -> KnotSurgery:
 def null_log_transform(a: Construction, torus: str) -> NullLogTransform:
     """Geometrically null +1 log transform at an available torus; keeps
     characteristic numbers, but the invariant engine refuses the node."""
-    rec = torus_records(a).get(torus)
-    if rec is None or rec.status != "available":
-        raise TorusUnavailable(f"torus {torus!r} is not available")
+    _require_available(a, torus)
     return NullLogTransform(a, torus)
 
 
@@ -322,24 +318,3 @@ def surgered_chain(
     result = knot_surgery(result, "T[1,1]", first)
     result = knot_surgery(result, f"T[{n},3]", last)
     return result
-
-
-# ------------------------------------------------------------- debugging
-
-
-def debug_string(c: Construction) -> str:
-    """Nested prefix notation, e.g. FS(K3@T3, K3@T1)."""
-    if isinstance(c, Block):
-        return c.kind
-    if isinstance(c, ConnectedSum):
-        return f"CS({debug_string(c.left)}, {debug_string(c.right)})"
-    if isinstance(c, FiberSum):
-        return (
-            f"FS({debug_string(c.left)}@{c.left_torus}, "
-            f"{debug_string(c.right)}@{c.right_torus})"
-        )
-    if isinstance(c, KnotSurgery):
-        return f"KS({debug_string(c.child)}@{c.torus}; {c.braid})"
-    if isinstance(c, NullLogTransform):
-        return f"LT({debug_string(c.child)}@{c.torus})"
-    raise TypeError(f"not a construction node: {c!r}")

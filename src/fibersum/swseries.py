@@ -50,7 +50,6 @@ from .manifolds import (
     KnotSurgery,
     NullLogTransform,
     char_numbers,
-    debug_string,
 )
 from .ring import ClassVector, FactoredSeries, GroupRingElt, LaurentPoly
 
@@ -87,13 +86,16 @@ def sw_factors(c: Construction) -> FactoredSeries:
             # Both invariants vanish on a sum of two pieces with positive
             # b2+ (in particular after any stabilization).
             return FactoredSeries.zero()
+        side = "both summands"
+        if left_pos or right_pos:
+            side = "right summand" if left_pos else "left summand"
         raise UnsupportedSum(
-            "no formula for a connected sum with a b2+ = 0 summand "
-            f"(a blow-up formula would be needed): {debug_string(c)}"
+            f"no formula for a connected sum with b2+ = 0 on the {side} "
+            "(a blow-up formula would be needed)"
         )
     if isinstance(c, NullLogTransform):
         raise UnsupportedNode(
-            "no gluing formula for a null log transform: " + debug_string(c)
+            f"no gluing formula for a null log transform at torus {c.torus!r}"
         )
     raise TypeError(f"not a construction node: {c!r}")
 

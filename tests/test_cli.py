@@ -1,9 +1,13 @@
 """The command line surface: output formats, exit codes, round-trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -26,9 +30,16 @@ from fibersum import (
     sw_factors,
     sw_report,
 )
-from fibersum.cli import _emit, construction_to_doc, main, normal_form_text, parse_construction
+from fibersum.cli import (
+    DEPTH_LIMIT,
+    _emit,
+    construction_to_doc,
+    main,
+    normal_form_text,
+    parse_construction,
+)
 from fibersum import cli, swseries
-from fibersum.errors import UnsupportedNode
+from fibersum.errors import DocumentError, UnsupportedNode
 from fibersum.manifolds import BLOCK_NAMES, Block
 from fibersum.ring import FactoredSeries, GroupRingElt
 
@@ -225,6 +236,37 @@ def test_sw_refused_trees_exit_3(tmp_path, capsys, name):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "command, doc, err",
+    [
+        (
+            "stabilize",
+            {"csum": [{"XN": 300}, {"XN": 300}]},
+            "outside the stabilization grammar: a sum of 2 K3 chains",
+        ),
+        (
+            "sw",
+            {"logt": {"on": {"XN": 600}, "torus": "T[1,2]"}},
+            "no gluing formula for a null log transform at torus 'T[1,2]'",
+        ),
+        (
+            "sw",
+            {"csum": [{"XN": 300}, {"block": "CP2bar"}]},
+            "no formula for a connected sum with b2+ = 0 on the right summand "
+            "(a blow-up formula would be needed)",
+        ),
+    ],
+    ids=["stabilize-two-chains", "sw-log-transform", "sw-blowup-sum"],
+)
+def test_big_tree_refusal_is_one_short_line(tmp_path, capsys, command, doc, err):
+    # A refusal names the refused node, never the whole tree.
+    assert main([command, write(tmp_path, "big.json", doc)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+    assert len(captured.err.encode()) <= 200
+
+
 # ------------------------------------------------------------------ alexander
 
 
@@ -261,6 +303,27 @@ def test_alexander_non_integer_letter_exit_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --word") and captured.err.count("\n") == 1
+
+
+def test_alexander_over_budget_exit_3(tmp_path, capsys):
+    # The 100-strand unknot braid: 9,900 strands x letters, refused at once.
+    word = ",".join(str(i) for i in range(1, 100))
+    start = time.perf_counter()
+    assert main(["alexander", "--strands", "100", "--word", word]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 100 strands x 99 letters is over the Burau budget of 2500\n"
+    )
+    # The same braid in a surgery slot, and the 2,502 of T(2, 1251).
+    braid = {"strands": 100, "word": list(range(1, 100))}
+    doc = {"surgery": {"on": {"block": "K3"}, "torus": "T1", "braid": braid}}
+    assert main(["sw", write(tmp_path, "s.json", doc)]) == 3
+    assert main(["alexander", "--strands", "2", "--word", ",".join(["1"] * 1251)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 2
 
 
 # --------------------------------------------------------------------- family
@@ -431,8 +494,6 @@ def test_document_round_trip():
 
 
 def test_document_error_paths():
-    from fibersum.errors import DocumentError
-
     with pytest.raises(DocumentError) as info:
         parse_construction({"csum": [{"block": "K3"}, {"block": "Nope"}]})
     assert "csum[1]" in str(info.value)
@@ -442,6 +503,13 @@ def test_document_error_paths():
                          "braid": {"strands": 2, "word": [5]}}}
         )
     assert "braid" in str(info.value)
+    # Each node refuses a malformed payload at its own path; no TypeError
+    # or KeyError escapes the parser.
+    y_junk = {"N": 1, "mid": None, "first": 1, "last": 1}
+    for key in ("csum", "fsum", "surgery", "logt", "XN", "Y"):
+        for payload in (None, 1.5, "x", [], {}, {"left": 1}, [{"block": "K3"}], y_junk):
+            with pytest.raises(DocumentError, match=rf"^\$\.{key}"):
+                parse_construction({key: payload})
 
 
 def _bool_document_exit_2(tmp_path, capsys, doc, where):
@@ -551,22 +619,66 @@ def test_property_library_tree_document_round_trip(tree):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, err",
     [
-        json.dumps({"XN": 990}),
-        '{"csum": [' * 1500 + '{"block": "K3"}' + ', {"block": "CP2"}]}' * 1500,
+        # A chain past DEPTH_LIMIT is refused before it is built.
+        (json.dumps({"XN": 990}), "$.XN: tree depth 990 is over the limit 800"),
+        # Nesting the document itself runs the recursive parser out of stack.
+        (
+            '{"csum": [' * 1500 + '{"block": "K3"}' + ', {"block": "CP2"}]}' * 1500,
+            "the construction is nested too deeply to evaluate",
+        ),
     ],
     ids=["XN-990", "csum-1500"],
 )
-def test_too_deep_tree_exit_2(tmp_path, capsys, text):
-    # The recursive document parser and tree walks run out of stack; the
-    # run ends with one error line, not a traceback.
+def test_too_deep_tree_exit_2(tmp_path, capsys, text, err):
+    # The run ends with one error line, not a traceback.
     path = tmp_path / "deep.json"
     path.write_text(text)
     assert main(["invariants", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: the construction is nested too deeply to evaluate\n"
+    assert captured.err == f"error: {err}\n"
+
+
+def test_depth_limit_boundary(tmp_path, capsys, monkeypatch):
+    # XN builds N levels, Y builds 2N + 2, a family N plus its slots.
+    monkeypatch.setattr(cli, "DEPTH_LIMIT", 4)
+    slots = write(tmp_path, "s.json", {"T[1,2]": [UNKNOT_BRAID], "T[1,1]": [UNKNOT_BRAID]})
+    admitted = [
+        ["invariants", write(tmp_path, "x.json", {"XN": 4})],
+        ["invariants", write(tmp_path, "y.json", y_doc([UNKNOT_BRAID]))],
+        ["family", "--N", "2", "--slots", slots],
+    ]
+    for argv in admitted:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    refused = [
+        (["invariants", write(tmp_path, "x.json", {"XN": 5})], "$.XN: tree depth 5"),
+        (
+            ["stabilize", write(tmp_path, "y.json", {"csum": [{"block": "K3"}, y_doc([], n=2)]})],
+            "$.csum[1].Y.N: tree depth 6",
+        ),
+        (["family", "--N", "3", "--slots", slots], "--N: tree depth 5"),
+    ]
+    for argv, err in refused:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err} is over the limit 4\n"
+    # From the library: refused before anything is built.
+    with pytest.raises(DocumentError, match=r"^\$\.XN: tree depth 1000000000000 is over"):
+        parse_construction({"XN": 10**12})
+
+
+def test_depth_limit_tree_completes(tmp_path, capsys):
+    # The deepest admitted chain builds and evaluates inside pytest's own
+    # stack, so a change that adds frames per level shows up here.  Building
+    # recurses deepest; stabilize then walks iteratively, invariants
+    # recursively, so invariants covers both.
+    assert DEPTH_LIMIT == 800
+    assert main(["invariants", write(tmp_path, "x.json", {"XN": DEPTH_LIMIT})]) == 0
+    assert capsys.readouterr().out.startswith(f"chi={24 * DEPTH_LIMIT} ")
 
 
 def test_closed_stdout_ends_quietly(tmp_path):
@@ -585,3 +697,88 @@ def test_closed_stdout_ends_quietly(tmp_path):
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+# Documents for the exit-code contract: arbitrary JSON values, and
+# grammar-shaped trees whose names, kinds and sizes may not fit together.
+# Chain sizes include a few over DEPTH_LIMIT, which are refused unbuilt.
+# Node keys first, then the keys of their payloads.
+DOC_KEYS = ["block", "tori", "csum", "fsum", "surgery", "logt", "XN", "Y"] + [
+    "left", "lt", "right", "rt", "on", "torus", "braid", "strands", "word", "N", "mid"
+]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(DOC_KEYS) | st.text(max_size=2),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=6,
+)
+torus_names = st.sampled_from(["T1", "T2", "T3", "T[1,1]", "T[1,2]", "T[2,1]", "R:T1", "A"])
+braid_docs = st.builds(
+    lambda n, word: {"strands": n, "word": word},
+    st.sampled_from([2, 3, 1]),
+    st.lists(st.sampled_from([1, -1, 2]), max_size=4),
+)
+chain_sizes = st.sampled_from([1, 2, 3, 0, -1, 1, 2, DEPTH_LIMIT + 1, 10**12])
+block_kinds = st.sampled_from(("K3",) * 4 + BLOCK_NAMES + ("K4",))
+grammar_docs = st.recursive(
+    st.builds(lambda kind: {"block": kind}, block_kinds)
+    | st.builds(
+        lambda tori: {"block": "K3", "tori": tori},
+        st.lists(torus_names, min_size=3, max_size=4),
+    )
+    | st.builds(lambda n: {"XN": n}, chain_sizes)
+    | st.builds(lambda key, value: {key: value}, st.sampled_from(DOC_KEYS[:8]), json_values)
+    | st.builds(
+        lambda n, mid, first, last: {"Y": {"N": n, "mid": mid, "first": first, "last": last}},
+        chain_sizes,
+        st.lists(braid_docs, max_size=3),
+        braid_docs,
+        braid_docs,
+    ),
+    lambda inner: st.builds(lambda a, b: {"csum": [a, b]}, inner, inner)
+    | st.builds(
+        lambda a, lt, b, rt: {"fsum": {"left": a, "lt": lt, "right": b, "rt": rt}},
+        inner,
+        torus_names,
+        inner,
+        torus_names,
+    )
+    | st.builds(
+        lambda a, t, b: {"surgery": {"on": a, "torus": t, "braid": b}},
+        inner,
+        torus_names,
+        braid_docs,
+    )
+    | st.builds(lambda a, t: {"logt": {"on": a, "torus": t}}, inner, torus_names),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["invariants", "stabilize", "sw", "compare"]),
+    st.lists(st.one_of(grammar_docs, grammar_docs, json_values), min_size=2, max_size=2),
+    st.booleans(),
+)
+def test_property_every_document_exits_with_one_line(command, docs, as_json):
+    # No exception escapes main: every run exits with a documented code,
+    # and a refusal writes nothing to stdout and one "error: " line.
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, doc in enumerate(docs[: 2 if command == "compare" else 1]):
+            paths.append(os.path.join(tmp, f"{i}.json"))
+            Path(paths[-1]).write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main((["--json"] if as_json else []) + [command] + paths)
+    assert code in {0, 2, 3, 4, 5}
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""

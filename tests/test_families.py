@@ -30,8 +30,8 @@ from fibersum import (
     stable_normal_form,
     surgered_chain,
 )
-from fibersum.errors import NotAKnot, UnknownTorus, UnsupportedNode
-from fibersum.manifolds import BLOCK_NAMES
+from fibersum.errors import NotAKnot, TorusUnavailable, UnsupportedNode
+from fibersum.manifolds import BLOCK_NAMES, FiberSum
 from fibersum import BraidWord
 
 
@@ -47,9 +47,9 @@ def test_family_counts():
 
 
 def test_family_unknown_torus():
-    with pytest.raises(UnknownTorus):
+    with pytest.raises(TorusUnavailable):
         family_generate(1, {"T[9,9]": [UNKNOT]})
-    with pytest.raises(UnknownTorus):
+    with pytest.raises(TorusUnavailable):
         family_generate(2, {"T[1,3]": [UNKNOT]})  # consumed by the chain
 
 
@@ -165,12 +165,21 @@ def test_normal_form_splits_twisted_blocks():
 
 
 def test_normal_form_rejects_unknown_grammar():
-    with pytest.raises(UnsupportedNode):
-        stable_normal_form(connected_sum(fiber_sum_chain(1), fiber_sum_chain(1)))
-    with pytest.raises(UnsupportedNode):
-        stable_normal_form(connected_sum(block("K3"), block("CP2")))
-    with pytest.raises(UnsupportedNode):
-        stable_normal_form(block("S2xS2"))
+    # Each refusal says what broke the grammar, not the whole tree.
+    summed = connected_sum(block("K3"), block("CP2"))
+    cases = [
+        (connected_sum(fiber_sum_chain(1), fiber_sum_chain(1)), "a sum of 2 K3 chains"),
+        (summed, "CP2 with a K3 chain"),
+        (connected_sum(summed, block("CP2bar")), "CP2, CP2bar with a K3 chain"),
+        (block("S2xS2"), "S2xS2 with no K3 chain"),
+        (fiber_sum(summed, "T1", block("K3"), "T1"), "a connected sum inside a fiber sum"),
+        # Only a hand-built node can put a rational block in a fiber sum.
+        (FiberSum(block("CP2"), "A", block("K3"), "T1"), "a CP2 block inside a fiber sum"),
+    ]
+    for tree, what in cases:
+        with pytest.raises(UnsupportedNode) as info:
+            stable_normal_form(tree)
+        assert str(info.value) == f"outside the stabilization grammar: {what}"
 
 
 # ------------------------------------------------- normal form properties

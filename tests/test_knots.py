@@ -28,7 +28,8 @@ from fibersum import (
     closure_components,
     seifert_matrix,
 )
-from fibersum.errors import NotAKnot, TooFewStrands
+from fibersum.errors import BraidTooLarge, NotAKnot, TooFewStrands
+from fibersum.knots import BURAU_BUDGET
 from fibersum.linalg import _integer_det, laurent_det
 
 
@@ -167,6 +168,24 @@ def test_alexander_rejects_links():
         alexander(BraidWord(2, (1, 1)))
     with pytest.raises(NotAKnot):
         alexander_oracle(BraidWord(2, ()))
+
+
+def test_alexander_budget_boundary():
+    assert BURAU_BUDGET == 2500
+    # 4 strands x 625 letters, exactly at the budget: a 4-cycle closure.
+    at_budget = BraidWord(4, (1, 2, 3) + (1,) * 622)
+    assert alexander(at_budget) == alexander_oracle(at_budget)
+    # T(2, 1249) is 2,498, T(2, 1251) is 2,502: the nearest 2-strand knots.
+    assert alexander(BraidWord(2, (1,) * 1249)).terms[624] == 1
+    with pytest.raises(BraidTooLarge, match="^2 strands x 1251 letters is over"):
+        alexander(BraidWord(2, (1,) * 1251))
+    unknot_100 = BraidWord(100, tuple(range(1, 100)))
+    with pytest.raises(BraidTooLarge):
+        alexander(unknot_100)
+    # The knot check comes first, and the Seifert oracle has no budget.
+    with pytest.raises(NotAKnot):
+        alexander(BraidWord(2, (1,) * 1300))
+    assert alexander_oracle(unknot_100) == LaurentPoly.one()
 
 
 def test_oracle_unknot():

@@ -8,7 +8,6 @@ from fibersum import (
     block,
     char_numbers,
     connected_sum,
-    debug_string,
     fiber_sum,
     fiber_sum_chain,
     knot_surgery,
@@ -122,7 +121,8 @@ def test_fiber_sum_unknown_torus_raises():
 
 def test_fiber_sum_default_names_disambiguate():
     c = fiber_sum(block("K3"), "T3", block("K3"), "T1")
-    assert debug_string(c) == "FS(K3@T3, K3@R:T1)"
+    assert (c.left_torus, c.right_torus) == ("T3", "R:T1")
+    assert c.right == Block("K3", ("R:T1", "R:T2", "R:T3"))
     assert len(available_tori(c)) == 4
 
 
@@ -181,7 +181,8 @@ def test_chain_of_one_is_a_block():
 
 def test_chain_of_two():
     c = fiber_sum_chain(2)
-    assert debug_string(c) == "FS(K3@T[1,3], K3@T[2,1])"
+    assert (c.left, c.left_torus) == (block("K3", copy=1), "T[1,3]")
+    assert (c.right, c.right_torus) == (block("K3", copy=2), "T[2,1]")
     assert available_tori(c) == ("T[1,1]", "T[1,2]", "T[2,2]", "T[2,3]")
 
 

@@ -128,12 +128,18 @@ def test_stabilized_vanishes():
 
 
 def test_blowup_sum_unsupported():
-    with pytest.raises(UnsupportedSum):
-        sw_series(connected_sum(block("K3"), block("CP2bar")))
+    # The refusal names the summand with b2+ = 0.
+    for left, right, side in [
+        ("K3", "CP2bar", "right summand"),
+        ("CP2bar", "K3", "left summand"),
+        ("CP2bar", "CP2bar", "both summands"),
+    ]:
+        with pytest.raises(UnsupportedSum, match=f"b2\\+ = 0 on the {side} \\(a blow-up"):
+            sw_series(connected_sum(block(left), block(right)))
 
 
 def test_log_transform_unsupported():
-    with pytest.raises(UnsupportedNode):
+    with pytest.raises(UnsupportedNode, match="null log transform at torus 'T1'$"):
         sw_series(null_log_transform(block("K3"), "T1"))
 
 
