@@ -19,13 +19,17 @@ Construction documents are JSON trees:
 with BRAID = {"strands": N, "word": [ints]}.  A "tori" entry may not be
 empty, hold whitespace or any of + - * ( ) ^, since the series text
 writes torus names bare, or repeat another entry.  Each domain error exits
-with its class's exit_code (errors.py) and one stderr line: parse errors,
-which carry a path into the document, trees over DEPTH_LIMIT levels and
-trees nested too deeply for the recursive walks exit 2; unsupported
-invariant queries, series over swseries.TERM_BUDGET terms and braids over
-knots.BURAU_BUDGET strands x letters exit 3; non-knot braids exit 4; other
-violated preconditions exit 5.  A reader that closes stdout early ends the
-run quietly with code 0.
+with its class's exit_code (errors.py) and one stderr line, with file and
+slot names JSON-quoted: parse errors, which carry a path into the document
+(a chain of fewer than one block or a "mid" list of the wrong length among
+them), trees over DEPTH_LIMIT levels and trees nested too deeply for the
+recursive walks exit 2; unsupported invariant queries, series over
+swseries.TERM_BUDGET terms and braids over knots.BURAU_BUDGET strands x
+letters exit 3; non-knot braids exit 4; other violated preconditions
+exit 5.  A reader that closes stdout early ends the run quietly with
+code 0.  ``sw`` computes its whole stdout as pieces (sw_pieces) and
+writes them with one writelines, so the series text is never copied into
+a larger string, nor JSON-encoded when its names need no escaping.
 """
 
 from __future__ import annotations
@@ -154,16 +158,20 @@ def parse_construction(doc, path: str = "$") -> Construction:
     if key == "XN":
         if not _is_int(value):
             raise DocumentError(f"{path}.XN: expected an integer")
-        _require_depth(value, f"{path}.XN")
+        _require_chain(value, value, f"{path}.XN")
         return fiber_sum_chain(value)
     if key == "Y":
         _require_keys(value, {"N", "mid", "first", "last"}, f"{path}.Y")
         n = value["N"]
         if not _is_int(n):
             raise DocumentError(f"{path}.Y.N: expected an integer")
-        _require_depth(2 * n + 2, f"{path}.Y.N")
+        _require_chain(n, 2 * n + 2, f"{path}.Y.N")
         if not isinstance(value["mid"], list):
             raise DocumentError(f"{path}.Y.mid: expected a list of braids")
+        if len(value["mid"]) != n:
+            raise DocumentError(
+                f"{path}.Y.mid: expected {n} middle knots, got {len(value['mid'])}"
+            )
         mid = [
             parse_braid_doc(b, f"{path}.Y.mid[{i}]")
             for i, b in enumerate(value["mid"])
@@ -177,9 +185,15 @@ def parse_construction(doc, path: str = "$") -> Construction:
     raise DocumentError(f"{path}: unknown node key {key!r}")
 
 
-def _require_depth(n: int, where: str) -> None:
-    if n > DEPTH_LIMIT:
-        raise DocumentError(f"{where}: tree depth {n} is over the limit {DEPTH_LIMIT}")
+def _require_chain(n: int, depth: int, where: str) -> None:
+    """Refuse, before anything is built, a chain of n < 1 blocks or a tree
+    of depth levels over DEPTH_LIMIT."""
+    if n < 1:
+        raise DocumentError(f"{where}: the chain needs at least one block")
+    if depth > DEPTH_LIMIT:
+        raise DocumentError(
+            f"{where}: tree depth {depth} is over the limit {DEPTH_LIMIT}"
+        )
 
 
 def _is_int(value) -> bool:
@@ -237,46 +251,49 @@ def _load_doc(filename: str):
         with open(filename) as handle:
             return json.load(handle)
     except OSError as exc:
-        raise DocumentError(f"cannot read {filename}: {exc}") from exc
+        raise DocumentError(f"cannot read {_emit(filename)}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
-        raise DocumentError(f"{filename}: invalid JSON: {exc}") from exc
+        raise DocumentError(f"{_emit(filename)}: invalid JSON: {exc}") from exc
 
 
 def _emit(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(", ", ": "))
 
 
-def sw_lines(report: SWReport, as_json: bool) -> list[str]:
-    """The stdout lines of ``sw`` for a report on a FactoredSeries: the
-    series text and _emit(report.to_json()), or with as_json the one line
+def sw_pieces(report: SWReport, as_json: bool) -> tuple[str, ...]:
+    """The whole stdout of ``sw`` for a report on a FactoredSeries, as
+    pieces to write in order: the series text and
+    _emit(report.to_json()) on two lines, or with as_json the one line
     _emit({"series": ..., "report": report.to_json()}).
 
-    The lines are written straight from the factors, byte for byte as
-    _emit would write them, with no pair dicts and no JSON encoding of
-    the pair list.  The series text is built and encoded once and serves
-    line 1 and both "series" fields; it and the scalar fields go through
-    _emit.
+    Each piece is written byte for byte as _emit would write it, and
+    nothing is encoded that the program wrote itself.  The series text
+    and the pairs text are built once and never copied into a larger
+    string.  The series text holds only class names and the writer's
+    own digits, spaces, + - * ( ) and exp, so it is its own JSON body
+    when _emit leaves every name bare; otherwise it goes through _emit
+    once.  "coeffs" is written from the runs.
     """
     series = report.series
     text = str(series)
-    quoted = _emit(text)
-    head = _emit(
-        {
-            "a0": report.a0,
-            "coeffs": report.coeff_multiset,
-            "count": report.count,
-            "lattice": series.lattice,
-        }
-    )
+    if all(_emit(name) == f'"{name}"' for name in series.lattice):
+        quoted = ('"', text, '"')
+    else:
+        quoted = (_emit(text),)
+    coeffs = ", ".join(", ".join([str(v)] * k) for v, k in report.coeff_runs)
     # The to_json() keys in sorted order: a0, coeffs, count, lattice,
-    # then pairs, rank and series.
+    # pairs, rank and series.
     body = (
-        f'{head[:-1]}, "pairs": [{_pairs_text(series)}], '
-        f'"rank": {_emit(report.rank)}, "series": {quoted}}}'
+        f'{{"a0": {report.a0}, "coeffs": [{coeffs}], "count": {report.count}, '
+        f'"lattice": {_emit(series.lattice)}, "pairs": [',
+        _pairs_text(series),
+        f'], "rank": {report.rank}, "series": ',
+        *quoted,
+        "}",
     )
     if as_json:
-        return [f'{{"report": {body}, "series": {quoted}}}']
-    return [text, body]
+        return ('{"report": ', *body, ', "series": ', *quoted, "}\n")
+    return (text, "\n", *body, "\n")
 
 
 def _pairs_text(series: FactoredSeries) -> str:
@@ -342,14 +359,14 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_sw(args) -> int:
-    """Print the series text and the report JSON (sw_lines).  A series
-    over the term budget is refused before its report is read or
-    anything is written."""
+    """Write the series text and the report JSON (sw_pieces) with one
+    writelines.  A series over the term budget is refused before its
+    report is read or anything is written."""
     c = parse_construction(_load_doc(args.file))
     series = sw_factors(c)
     require_term_budget(series)
-    for line in sw_lines(factored_report(series, char_numbers(c)), args.json):
-        print(line)
+    report = factored_report(series, char_numbers(c))
+    sys.stdout.writelines(sw_pieces(report, args.json))
     return EXIT_OK
 
 
@@ -378,12 +395,14 @@ def cmd_family(args) -> int:
         raise DocumentError("slots file must map torus names to braid lists")
     slots = {}
     for name, braids in sorted(slots_doc.items()):
+        # The name is JSON-quoted, so no character of it can split the line.
+        path = f"$[{_emit(name)}]"
         if not isinstance(braids, list):
-            raise DocumentError(f"slot {name!r}: expected a list of braids")
+            raise DocumentError(f"{path}: expected a list of braids")
         slots[name] = [
-            parse_braid_doc(b, f"$.{name}[{i}]") for i, b in enumerate(braids)
+            parse_braid_doc(b, f"{path}[{i}]") for i, b in enumerate(braids)
         ]
-    _require_depth(args.N + len(slots), "--N")
+    _require_chain(args.N, args.N + len(slots), "--N")
     members = family_generate(args.N, slots)
     report = family_report(members)
     print(_emit(report))

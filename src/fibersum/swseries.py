@@ -207,7 +207,8 @@ def check_conjugation_symmetry(
 def _expand_runs(runs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """The sorted multiset that (value, pairs) runs stand for: each value
     repeated once per pair.  It is as long as half the series, so only
-    the writers (under the term budget) and tests read it."""
+    the dict views (to_json() and the family report, under the term
+    budget) and tests read it."""
     return tuple(
         itertools.chain.from_iterable(itertools.repeat(v, n) for v, n in runs)
     )
@@ -226,8 +227,8 @@ class SWReport:
     read off the series on demand.
 
     to_json() is the library's dict view, one dict per pair.  The ``sw``
-    command does not build it: cli.sw_lines writes the same bytes
-    straight from the factors.
+    command does not build it: cli.sw_pieces writes the same bytes
+    straight from the factors and the runs.
     """
 
     series: GroupRingElt | FactoredSeries

@@ -158,9 +158,19 @@ def test_sw_rational_block_exit_3(tmp_path, capsys, kind):
     assert "rational block" in captured.err
 
 
+def _escaped_names_tree():
+    """One series over names JSON leaves bare ("A", "T1") and names it
+    escapes (a quote, a backslash, non-ASCII, DEL), so sw encodes its text."""
+    trefoil, figure_eight = BraidWord(2, (1, 1, 1)), BraidWord(3, (1, -2, 1, -2))
+    left = knot_surgery(Block("K3", ("A", 'B"', "C\\")), 'B"', trefoil)
+    right = knot_surgery(Block("K3", ("T1", "Dé", "E\x7f")), "Dé", figure_eight)
+    return knot_surgery(fiber_sum(left, "A", right, "T1"), "E\x7f", trefoil)
+
+
 CLI_TREES = {
     **sw_trees(),
     **{f"seeded chain {i}": c for i, c in enumerate(seeded_chains(20261017))},
+    "escaped names": _escaped_names_tree(),
 }
 
 
@@ -193,6 +203,40 @@ def test_sw_chain_of_five_matches_report_json(tmp_path, capsys):
     assert main(["sw", write(tmp_path, "c.json", construction_to_doc(c))]) == 0
     report = json.dumps(sw_report(c).to_json(), sort_keys=True, separators=(", ", ": "))
     assert capsys.readouterr().out == f"{dense_text(sw_factors(c).expand())}\n{report}\n"
+
+
+def chain_of_four():
+    """surgered_chain(4) on trefoils and figure eights: nine three-term
+    factors, 19,683 terms, about 3.5 MB of stdout."""
+    knots = [CHAIN_KNOTS[1], CHAIN_KNOTS[2]] * 3
+    return surgered_chain(4, knots[:4], knots[4], knots[5])
+
+
+def test_sw_writes_long_texts_without_encoding_them(tmp_path, capsys, monkeypatch):
+    # The series text, the pairs and the coeffs are written, never
+    # encoded: _emit and json.dumps refuse any text or list over 1,000
+    # long, and the bytes still equal those of the library's dict view.
+    c = chain_of_four()
+    path = write(tmp_path, "c.json", construction_to_doc(c))
+    text, report = str(sw_factors(c)), sw_report(c).to_json()
+    expected = {
+        (): f"{text}\n{_emit(report)}\n",
+        ("--json",): _emit({"series": text, "report": report}) + "\n",
+    }
+
+    def refusing(encode):
+        def encode_short(data, *args, **kwargs):
+            if isinstance(data, (str, list, tuple)) and len(data) > 1000:
+                raise AssertionError(f"encoded a {type(data).__name__} of {len(data)}")
+            return encode(data, *args, **kwargs)
+
+        return encode_short
+
+    monkeypatch.setattr(json, "dumps", refusing(json.dumps))
+    monkeypatch.setattr(cli, "_emit", refusing(cli._emit))
+    for flags, out in expected.items():
+        assert main([*flags, "sw", path]) == 0
+        assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])
@@ -361,6 +405,37 @@ def test_family_unknown_torus_exit_5(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _one_error_line(argv, capsys, err):
+    assert main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "slots, err",
+    [
+        ({"a\nb": [{"strands": "x", "word": []}]},
+         '$["a\\nb"][0]: braid needs integer strands and letters'),
+        ({"a\nb": 1}, '$["a\\nb"]: expected a list of braids'),
+        ({"T[1,2]": [UNKNOT_BRAID, {"strands": 2}]},
+         '$["T[1,2]"][1]: expected {"strands": n, "word": [...]}'),
+    ],
+    ids=["newline-braid", "newline-list", "plain"],
+)
+def test_family_slot_error_is_one_line(tmp_path, capsys, slots, err):
+    # The slot name is JSON-quoted in the path, so no name splits the line.
+    _one_error_line(["family", "--N", "1", "--slots", write(tmp_path, "s.json", slots)],
+                    capsys, err)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_family_chain_size_exit_2(tmp_path, capsys, n):
+    slots = write(tmp_path, "s.json", {"T[1,2]": [UNKNOT_BRAID]})
+    _one_error_line(["family", "--N", str(n), "--slots", slots], capsys,
+                    "--N: the chain needs at least one block")
+
+
 # -------------------------------------------------------------------- compare
 
 
@@ -510,6 +585,35 @@ def test_document_error_paths():
         for payload in (None, 1.5, "x", [], {}, {"left": 1}, [{"block": "K3"}], y_junk):
             with pytest.raises(DocumentError, match=rf"^\$\.{key}"):
                 parse_construction({key: payload})
+
+
+@pytest.mark.parametrize(
+    "doc, err",
+    [
+        ({"XN": 0}, "$.XN: the chain needs at least one block"),
+        ({"XN": -3}, "$.XN: the chain needs at least one block"),
+        (y_doc([], n=0), "$.Y.N: the chain needs at least one block"),
+        ({"csum": [{"block": "K3"}, y_doc([], n=2)]},
+         "$.csum[1].Y.mid: expected 2 middle knots, got 0"),
+        (y_doc([UNKNOT_BRAID] * 3, n=2), "$.Y.mid: expected 2 middle knots, got 3"),
+    ],
+    ids=["XN-0", "XN-negative", "Y-N-0", "Y-mid-short", "Y-mid-long"],
+)
+def test_chain_size_exit_2_with_path(tmp_path, capsys, doc, err):
+    # Checked before anything is built, at the document path.
+    _one_error_line(["invariants", write(tmp_path, "c.json", doc)], capsys, err)
+
+
+def test_file_name_errors_are_one_line(tmp_path, capsys):
+    # The file name is JSON-quoted, so a newline in it cannot split the line.
+    missing = str(tmp_path / "no\nfile.json")
+    _one_error_line(["sw", missing], capsys,
+                    f"cannot read {_emit(missing)}: No such file or directory")
+    bad = tmp_path / "bad\nname.json"
+    bad.write_text("{not json")
+    _one_error_line(["sw", str(bad)], capsys,
+                    f"{_emit(str(bad))}: invalid JSON: Expecting property name "
+                    "enclosed in double quotes: line 1 column 2 (char 1)")
 
 
 def _bool_document_exit_2(tmp_path, capsys, doc, where):
@@ -681,22 +785,34 @@ def test_depth_limit_tree_completes(tmp_path, capsys):
     assert capsys.readouterr().out.startswith(f"chi={24 * DEPTH_LIMIT} ")
 
 
-def test_closed_stdout_ends_quietly(tmp_path):
-    # About 1 MB of output: far more than a pipe buffers, so the writer is
-    # still writing when the reader goes away.
+def _read_then_close(args, size):
+    """Run the CLI, read size bytes of its stdout, close it, and return
+    (exit code, stderr)."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     with subprocess.Popen(
-        [sys.executable, "-m", "fibersum.cli", "sw", write(tmp_path, "x.json", {"XN": 10})],
+        [sys.executable, "-m", "fibersum.cli", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     ) as proc:
-        assert len(proc.stdout.read(150)) == 150
+        assert len(proc.stdout.read(size)) == size
         proc.stdout.close()
         err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 0
-    assert err == b""
+        return proc.wait(timeout=60), err
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # About 1 MB of output: far more than a pipe buffers, so the writer is
+    # still writing when the reader goes away.
+    assert _read_then_close(["sw", write(tmp_path, "x.json", {"XN": 10})], 150) == (0, b"")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_closed_stdout_on_a_chain_of_four_ends_quietly(tmp_path, flags):
+    # sw writes its 3.5 MB in one writelines; the reader takes 100 bytes.
+    path = write(tmp_path, "c.json", construction_to_doc(chain_of_four()))
+    assert _read_then_close([*flags, "sw", path], 100) == (0, b"")
 
 
 # Documents for the exit-code contract: arbitrary JSON values, and

@@ -47,7 +47,7 @@ from fibersum import (
     sw_series,
     alexander_oracle,
 )
-from fibersum.cli import sw_lines
+from fibersum.cli import sw_pieces
 from fibersum.errors import (
     AsymmetricSeries,
     BadSignExponent,
@@ -397,20 +397,22 @@ def _signed_poly(draw_half, center, sign):
 half_polys = st.dictionaries(st.integers(1, 3), st.integers(-3, 3).filter(bool), max_size=2)
 
 
-# Class names: plain, and ones that JSON must escape (a quote, non-ASCII).
-class_names = st.sampled_from(["C", "C\"", "C\u00e9"])
+# Class names: plain, and ones that JSON must escape (a quote, a
+# backslash, non-ASCII, DEL, NUL).  Drawn per factor, so one series may
+# mix names the writer quotes itself with names it must encode.
+class_names = st.sampled_from(["C", "C", "C\"", "C\\", "C\u00e9", "C\x7f", "C\x00"])
 
 
 # An empty half gives a constant factor (center, which may be 0 or
 # negative) or, antisymmetric, the zero factor.
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(half_polys, st.integers(-2, 2), st.sampled_from([1, -1])),
-                min_size=0, max_size=4),
-       class_names)
-def test_property_factored_report_equals_dense_reader(specs, name):
+@given(st.lists(st.tuples(half_polys, st.integers(-2, 2), st.sampled_from([1, -1]),
+                          class_names),
+                min_size=0, max_size=4))
+def test_property_factored_report_equals_dense_reader(specs):
     factors = {
         f"{name}{i}": _signed_poly(half, center, sign)
-        for i, (half, center, sign) in enumerate(specs)
+        for i, (half, center, sign, name) in enumerate(specs)
     }
     # Given in reverse class order, so that sorting is observable.
     series = FactoredSeries(dict(reversed(factors.items())))
@@ -424,7 +426,7 @@ def test_property_factored_report_equals_dense_reader(specs, name):
         product = product * substitute_exp(f, ClassVector((cls,), (1,)))
     assert series.expand() == product
     sign = 1
-    for _, _, s in specs:
+    for _, _, s, _ in specs:
         sign *= s
     cn = K3_NUMBERS if sign == 1 else char_numbers(block("S2xS2"))
     assert check_conjugation_symmetry(series, cn)
@@ -436,8 +438,7 @@ def test_property_factored_report_equals_dense_reader(specs, name):
     assert report.to_json() == expected
     assert str(series) == str(series.expand()) == dense_text(series.expand())
     for as_json in (False, True):
-        written = "".join(line + "\n" for line in sw_lines(report, as_json))
-        assert written == report_stdout(expected, as_json)
+        assert "".join(sw_pieces(report, as_json)) == report_stdout(expected, as_json)
 
 
 @settings(max_examples=150, deadline=None)
