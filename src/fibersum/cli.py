@@ -24,17 +24,19 @@ slot names JSON-quoted: parse errors, which carry a path into the document
 (a chain of fewer than one block or a "mid" list of the wrong length among
 them), trees over DEPTH_LIMIT levels and trees nested too deeply for the
 recursive walks exit 2; unsupported invariant queries, series over
-swseries.TERM_BUDGET terms and braids over knots.BURAU_BUDGET strands x
-letters exit 3; non-knot braids exit 4; other violated preconditions
-exit 5.  A reader that closes stdout early ends the run quietly with
-code 0.  ``sw`` computes its whole stdout as pieces (sw_pieces) and
-writes them with one writelines, so the series text is never copied into
-a larger string, nor JSON-encoded when its names need no escaping.
+swseries.TERM_BUDGET terms, braids over knots.BURAU_BUDGET strands x
+letters and families over families.FAMILY_BUDGET members exit 3;
+non-knot braids exit 4; other violated preconditions exit 5.  A reader
+that closes stdout early ends the run quietly with code 0.  ``sw``
+computes its whole stdout as pieces (sw_pieces) and writes them with one
+writelines, so the series text is never copied into a larger string, nor
+JSON-encoded when its names need no escaping.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -337,19 +339,7 @@ def cmd_invariants(args) -> int:
     c = parse_construction(_load_doc(args.file))
     cn = char_numbers(c)
     if args.json:
-        print(
-            _emit(
-                {
-                    "chi": cn.chi,
-                    "sigma": cn.sigma,
-                    "b1": cn.b1,
-                    "b2_plus": cn.b2_plus,
-                    "b2_minus": cn.b2_minus,
-                    "parity": cn.parity,
-                    "simply_connected": cn.simply_connected,
-                }
-            )
-        )
+        print(_emit(dataclasses.asdict(cn)))
     else:
         print(
             f"chi={cn.chi} sigma={cn.sigma} b2+={cn.b2_plus} b2-={cn.b2_minus} "

@@ -2,8 +2,8 @@
 
 Every domain failure raised by this package derives from CalculusError and
 carries the command line's exit code for it: 2 for a document that does not
-parse or validate, 3 for an unsupported query, a series too long to write
-or a braid over the Burau budget, 4 for a braid closure that is not a knot,
+parse or validate, 3 for an unsupported query or an input over a budget
+(series terms, Burau, family), 4 for a braid closure that is not a knot,
 and 5 for every other violated precondition.  Messages are one short line.
 """
 
@@ -83,6 +83,14 @@ class BadSignExponent(CalculusError):
 
 class TooManyTerms(CalculusError):
     """Writing the series out term by term would exceed the term budget."""
+
+    exit_code = 3
+
+
+# ---------------------------------------------------------------- families
+
+class FamilyTooLarge(CalculusError):
+    """A family over families.FAMILY_BUDGET members."""
 
     exit_code = 3
 

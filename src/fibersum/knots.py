@@ -100,20 +100,18 @@ class BraidWord:
 
 def closure_components(braid: BraidWord) -> int:
     """Number of components of the braid closure (cycles of the strand
-    permutation).  The strands past the highest letter's are fixed, each a
-    component of its own, so only the strands the word moves are walked."""
-    moved = max(map(abs, braid.word), default=0) + 1
-    ends = BraidWord(moved, braid.word).permutation()
-    seen = [False] * moved
-    count = braid.strands - moved
-    for start in range(moved):
-        if seen[start]:
-            continue
+    permutation).  Only the positions the word touches are tracked, each
+    mapped to the strand that ends there; every other strand is fixed."""
+    ends: dict[int, int] = {}
+    for letter in braid.word:
+        i = abs(letter)
+        ends[i - 1], ends[i] = ends.get(i, i), ends.get(i - 1, i - 1)
+    count = braid.strands - len(ends)
+    while ends:
+        start, strand = ends.popitem()
         count += 1
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = ends[i]
+        while strand != start:
+            strand = ends.pop(strand)
     return count
 
 
@@ -210,8 +208,9 @@ def alexander(braid: BraidWord) -> LaurentPoly:
     Normalized so reverse(result) == result and result(1) == 1.  Raises
     NotAKnot when the closure is not a knot, then BraidTooLarge over BURAU_BUDGET.
     """
-    if closure_components(braid) != 1:
-        raise NotAKnot(f"closure of {braid} has {closure_components(braid)} components")
+    components = closure_components(braid)
+    if components != 1:
+        raise NotAKnot(f"closure of {braid} has {components} components")
     if braid.strands * len(braid.word) > BURAU_BUDGET:
         size = f"{braid.strands} strands x {len(braid.word)} letters"
         raise BraidTooLarge(f"{size} is over the Burau budget of {BURAU_BUDGET}")

@@ -9,10 +9,10 @@ which is all the invariant formulas consume.
 
 Tori are tracked by globally unique names.  A fiber sum consumes the two
 tori it glues; knot surgery and log transforms leave their torus in place.
-Characteristic numbers (chi, sigma, b2+-, parity) evaluate recursively;
-every block is simply connected and so is every combination of them.
-Parity under fiber sum is declared preserved for these blocks rather
-than derived.
+Characteristic numbers (chi, sigma, b2+-, parity) are one flat count
+over the blocks; every block is simply connected and so is every
+combination of them.  Parity under fiber sum is declared preserved for
+these blocks rather than derived.
 """
 
 from __future__ import annotations
@@ -249,33 +249,31 @@ def null_log_transform(a: Construction, torus: str) -> NullLogTransform:
 
 
 def char_numbers(c: Construction) -> CharNumbers:
-    """Recursive evaluation of chi, sigma, b2+- and parity.  b2+- are
-    derived from chi and sigma (b1 = 0); every construction is simply
-    connected."""
-    chi, sigma, parity = _char_rec(c)
+    """One pass over the tree: chi sums the blocks less 2 per connected sum
+    (chi(T^2) = 0 for a fiber sum), sigma sums them (Novikov additivity),
+    and the form is even when every block's is.  b2+- follow (b1 = 0);
+    every construction is simply connected."""
+    chi = sigma = 0
+    even = True
+    stack = [c]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Block):
+            block_chi, block_sigma, block_parity = _BLOCK_NUMBERS[node.kind]
+            chi += block_chi
+            sigma += block_sigma
+            even = even and block_parity == "even"
+        elif isinstance(node, (ConnectedSum, FiberSum)):
+            chi -= 2 * isinstance(node, ConnectedSum)
+            stack += [node.left, node.right]
+        elif isinstance(node, (KnotSurgery, NullLogTransform)):
+            stack.append(node.child)
+        else:
+            raise TypeError(f"not a construction node: {node!r}")
     b2_plus = (chi - 2 + sigma) // 2
     b2_minus = (chi - 2 - sigma) // 2
+    parity = "even" if even else "odd"
     return CharNumbers(chi, sigma, 0, b2_plus, b2_minus, parity, True)
-
-
-def _char_rec(c: Construction):
-    if isinstance(c, Block):
-        return _BLOCK_NUMBERS[c.kind]
-    if isinstance(c, ConnectedSum):
-        lc, ls, lp = _char_rec(c.left)
-        rc, rs, rp = _char_rec(c.right)
-        parity = "even" if lp == "even" and rp == "even" else "odd"
-        return lc + rc - 2, ls + rs, parity
-    if isinstance(c, FiberSum):
-        lc, ls, lp = _char_rec(c.left)
-        rc, rs, rp = _char_rec(c.right)
-        # chi(T^2) = 0 and Novikov additivity; parity preservation is an
-        # assumption valid for these blocks, asserted rather than derived.
-        parity = "even" if lp == "even" and rp == "even" else "odd"
-        return lc + rc, ls + rs, parity
-    if isinstance(c, (KnotSurgery, NullLogTransform)):
-        return _char_rec(c.child)
-    raise TypeError(f"not a construction node: {c!r}")
 
 
 # -------------------------------------------------------------- builders

@@ -21,6 +21,7 @@ from fibersum import (
     available_tori,
     block,
     connected_sum,
+    family_generate,
     fiber_sum,
     fiber_sum_chain,
     knot_surgery,
@@ -38,8 +39,8 @@ from fibersum.cli import (
     normal_form_text,
     parse_construction,
 )
-from fibersum import cli, swseries
-from fibersum.errors import DocumentError, UnsupportedNode
+from fibersum import cli, families, swseries
+from fibersum.errors import DocumentError, FamilyTooLarge, UnsupportedNode
 from fibersum.manifolds import BLOCK_NAMES, Block
 from fibersum.ring import FactoredSeries, GroupRingElt
 
@@ -337,6 +338,16 @@ def test_alexander_huge_split_braid_exit_4(capsys):
     assert captured.err == "error: closure of 1000000000; 1 has 999999999 components\n"
 
 
+def test_alexander_far_letter_exit_4(capsys):
+    # Only the positions the word touches are tracked, so a letter at
+    # 10^12 costs what a letter at 1 does.
+    strands, letter = 10**12 + 1, 10**12
+    assert main(["alexander", "--strands", str(strands), "--word", str(letter)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: closure of {strands}; {letter} has {letter} components\n"
+
+
 def test_alexander_bad_letter_exit_2(capsys):
     assert main(["alexander", "--strands", "2", "--word", "3"]) == 2
     capsys.readouterr()
@@ -427,6 +438,23 @@ def test_family_slot_error_is_one_line(tmp_path, capsys, slots, err):
     # The slot name is JSON-quoted in the path, so no name splits the line.
     _one_error_line(["family", "--N", "1", "--slots", write(tmp_path, "s.json", slots)],
                     capsys, err)
+
+
+def test_family_budget_boundary(tmp_path, capsys, monkeypatch):
+    # The budget bounds the product of the slot sizes.
+    monkeypatch.setattr(families, "FAMILY_BUDGET", 4)
+    two = [UNKNOT_BRAID, TREFOIL_BRAID]
+    slots = write(tmp_path, "s.json", {"T[1,2]": two, "T[1,1]": two})
+    assert main(["family", "--N", "1", "--slots", slots]) == 0
+    assert len(json.loads(capsys.readouterr().out)["members"]) == 4
+    slots = write(tmp_path, "s.json", {"T[1,2]": two, "T[1,1]": two + [UNKNOT_BRAID]})
+    assert main(["family", "--N", "1", "--slots", slots]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 6 members is over the budget of 4\n"
+    # From the library: refused before the chain or any member is built.
+    with pytest.raises(FamilyTooLarge, match=r"^5 members is over the budget of 4$"):
+        family_generate(10**12, {"T[1,2]": [BraidWord(1)] * 5})
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -778,8 +806,7 @@ def test_depth_limit_boundary(tmp_path, capsys, monkeypatch):
 def test_depth_limit_tree_completes(tmp_path, capsys):
     # The deepest admitted chain builds and evaluates inside pytest's own
     # stack, so a change that adds frames per level shows up here.  Building
-    # recurses deepest; stabilize then walks iteratively, invariants
-    # recursively, so invariants covers both.
+    # recurses; invariants and stabilize then walk the tree flat.
     assert DEPTH_LIMIT == 800
     assert main(["invariants", write(tmp_path, "x.json", {"XN": DEPTH_LIMIT})]) == 0
     assert capsys.readouterr().out.startswith(f"chi={24 * DEPTH_LIMIT} ")

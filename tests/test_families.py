@@ -1,5 +1,6 @@
 """Family generation, comparison verdicts, stabilization normal forms."""
 
+from collections import Counter
 from math import comb
 
 import pytest
@@ -31,7 +32,14 @@ from fibersum import (
     surgered_chain,
 )
 from fibersum.errors import NotAKnot, TorusUnavailable, UnsupportedNode
-from fibersum.manifolds import BLOCK_NAMES, FiberSum
+from fibersum.manifolds import (
+    BLOCK_NAMES,
+    Block,
+    ConnectedSum,
+    FiberSum,
+    KnotSurgery,
+    NullLogTransform,
+)
 from fibersum import BraidWord
 
 
@@ -249,6 +257,64 @@ def test_property_normal_form_counts(case):
     tree, expected = case
     assert stable_normal_form(tree) == expected
     assert stable_normal_form(rational_chain(*expected)) == expected
+
+
+def counted_normal_form(c):
+    """The normal form by counting blocks: a chain of k K3 blocks beside
+    m S2twS2 summands gives 4k + e and 20k + e with e = max(m - 1, 0); a
+    rational sum of CP2, CP2bar and m S2twS2 blocks gives cp2 + m and
+    cp2bar + m."""
+    counts = Counter()
+    stack = [c]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Block):
+            counts[node.kind] += 1
+        elif isinstance(node, (KnotSurgery, NullLogTransform)):
+            stack.append(node.child)
+        else:
+            stack += [node.left, node.right]
+    k, twisted = counts["K3"], counts["S2twS2"]
+    if k:
+        extra = max(twisted - 1, 0)
+        return 4 * k + extra, 20 * k + extra
+    return counts["CP2"] + twisted, counts["CP2bar"] + twisted
+
+
+def _hand_decorated(draw, c):
+    for _ in range(draw(st.integers(0, 2))):
+        c = KnotSurgery(c, "A", TREFOIL) if draw(st.booleans()) else NullLogTransform(c, "A")
+    return c
+
+
+def _hand_nested(draw, parts, node):
+    parts = list(parts)
+    while len(parts) > 1:
+        i = draw(st.integers(0, len(parts) - 2))
+        parts[i : i + 2] = [_hand_decorated(draw, node(*parts[i : i + 2]))]
+    return parts[0]
+
+
+@st.composite
+def hand_built_grammar_trees(draw):
+    """Grammar trees from node constructors: a fiber-sum tree of 1-6 K3
+    blocks beside 0-3 S2twS2 summands, or a sum of CP2, CP2bar and S2twS2
+    blocks, nested at random, with surgeries and log transforms on any
+    node."""
+    if draw(st.booleans()):
+        k3s = [_hand_decorated(draw, Block("K3")) for _ in range(draw(st.integers(1, 6)))]
+        chain = _hand_nested(draw, k3s, lambda a, b: FiberSum(a, "A", b, "B"))
+        parts = [chain] + [Block("S2twS2")] * draw(st.integers(0, 3))
+    else:
+        kinds = st.lists(st.sampled_from(["CP2", "CP2bar", "S2twS2"]), min_size=1, max_size=8)
+        parts = [Block(kind) for kind in draw(kinds)]
+    return _hand_nested(draw, draw(st.permutations(parts)), ConnectedSum)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hand_built_grammar_trees())
+def test_property_normal_form_equals_block_count(tree):
+    assert stable_normal_form(tree) == counted_normal_form(tree)
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +98,19 @@ def test_closure_components_counts_unmoved_strands():
     assert closure_components(BraidWord(10**9, (1,))) == 10**9 - 1
     assert closure_components(BraidWord(10**9, ())) == 10**9
     assert closure_components(BraidWord(5, (2, -3, 2))) == 4
+
+
+def test_closure_components_memory_follows_the_word():
+    # One letter at position 10^6 touches two positions; nothing is
+    # allocated per strand below it.
+    braid = BraidWord(10**6 + 1, (10**6,))
+    tracemalloc.start()
+    try:
+        assert closure_components(braid) == 10**6
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 # ------------------------------------------------------------------ Burau

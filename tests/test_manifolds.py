@@ -1,6 +1,8 @@
 """Construction trees, torus bookkeeping, characteristic numbers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import TREFOIL, UNKNOT
 from fibersum import (
@@ -10,8 +12,10 @@ from fibersum import (
     connected_sum,
     fiber_sum,
     fiber_sum_chain,
+    homotopy_equivalent,
     knot_surgery,
     null_log_transform,
+    stable_normal_form,
     surgered_chain,
     torus_records,
 )
@@ -21,7 +25,14 @@ from fibersum.errors import (
     TorusUnavailable,
     UnknownBlock,
 )
-from fibersum.manifolds import Block
+from fibersum.manifolds import (
+    BLOCK_NAMES,
+    Block,
+    ConnectedSum,
+    FiberSum,
+    KnotSurgery,
+    NullLogTransform,
+)
 
 
 # ------------------------------------------------------------------ blocks
@@ -213,3 +224,84 @@ def test_surgered_chain_numbers_unchanged():
 def test_surgered_chain_arity():
     with pytest.raises(BadParameter):
         surgered_chain(2, [TREFOIL], UNKNOT, UNKNOT)
+
+
+# ------------------------------------------------- characteristic numbers
+
+# chi, sigma and parity of each block, written out independently of the
+# package's table.
+REFERENCE_BLOCKS = {
+    "K3": (24, -16, "even"),
+    "CP2": (3, 1, "odd"),
+    "CP2bar": (3, -1, "odd"),
+    "S2xS2": (4, 0, "even"),
+    "S2twS2": (4, 0, "odd"),
+}
+
+
+def reference_numbers(c):
+    """(chi, sigma, parity) by recursion on the node kinds: a connected
+    sum subtracts chi(S^4) = 2, a fiber sum chi(T^2) = 0, sigma adds, and
+    the form is odd as soon as one side's is."""
+    if isinstance(c, Block):
+        return REFERENCE_BLOCKS[c.kind]
+    if isinstance(c, (KnotSurgery, NullLogTransform)):
+        return reference_numbers(c.child)
+    lc, ls, lp = reference_numbers(c.left)
+    rc, rs, rp = reference_numbers(c.right)
+    parity = "even" if lp == rp == "even" else "odd"
+    return lc + rc - 2 * isinstance(c, ConnectedSum), ls + rs, parity
+
+
+# Hand-built nodes: the names and braids are not checked, so any shape of
+# tree over any blocks is reachable, beside trees the builders make.
+hand_built_trees = st.recursive(
+    st.sampled_from(BLOCK_NAMES).map(Block)
+    | st.sampled_from([block("K3"), block("K3", copy=2), fiber_sum_chain(2)]),
+    lambda kids: st.one_of(
+        st.builds(ConnectedSum, kids, kids),
+        st.builds(FiberSum, kids, st.just("A"), kids, st.just("B")),
+        st.builds(KnotSurgery, kids, st.just("A"), st.sampled_from([TREFOIL, UNKNOT])),
+        st.builds(NullLogTransform, kids, st.just("A")),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hand_built_trees)
+def test_property_char_numbers_equal_recursive_reference(tree):
+    chi, sigma, parity = reference_numbers(tree)
+    cn = char_numbers(tree)
+    assert (cn.chi, cn.sigma, cn.parity) == (chi, sigma, parity)
+    assert (cn.b1, cn.simply_connected) == (0, True)
+    assert (cn.b2_plus, cn.b2_minus) == ((chi - 2 + sigma) // 2, (chi - 2 - sigma) // 2)
+
+
+def test_char_numbers_refuse_a_non_node():
+    with pytest.raises(TypeError, match="not a construction node: 'K3'"):
+        char_numbers(ConnectedSum(block("CP2"), "K3"))
+
+
+def test_deep_chain_from_node_constructors():
+    # A 5,000-level fiber-sum chain, under a knot surgery and a log
+    # transform every tenth level, and a rational sum nested as deep: far
+    # past the recursion limit, so every reader must walk flat.
+    n = 5000
+    chain = block("K3", copy=1)
+    for alpha in range(1, n):
+        glued = f"T[{alpha + 1},1]"
+        chain = FiberSum(chain, f"T[{alpha},3]", block("K3", copy=alpha + 1), glued)
+        if alpha % 10 == 0:
+            chain = NullLogTransform(KnotSurgery(chain, f"T[{alpha},2]", TREFOIL), "T[1,1]")
+    cn = char_numbers(chain)
+    assert (cn.chi, cn.sigma, cn.parity) == (24 * n, -16 * n, "even")
+    assert homotopy_equivalent(chain, chain)
+    assert stable_normal_form(chain) == (4 * n, 20 * n)
+    rational = block("S2twS2")
+    for kind in ["CP2", "CP2bar", "S2twS2"] * (n // 3):
+        rational = ConnectedSum(rational, block(kind))
+    assert char_numbers(rational).parity == "odd"
+    assert stable_normal_form(rational) == (2 * (n // 3) + 1, 2 * (n // 3) + 1)
+    assert stable_normal_form(ConnectedSum(chain, block("S2twS2"))) == (4 * n, 20 * n)
+    assert not homotopy_equivalent(chain, rational)
