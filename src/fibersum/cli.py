@@ -16,21 +16,24 @@ Construction documents are JSON trees:
     {"XN": N}
     {"Y": {"N": N, "mid": [BRAID...], "first": BRAID, "last": BRAID}}
 
-with BRAID = {"strands": N, "word": [ints]}.  A "tori" entry may not be
-empty, hold whitespace or any of + - * ( ) ^, since the series text
-writes torus names bare, or repeat another entry.  Each domain error exits
-with its class's exit_code (errors.py) and one stderr line, with file and
-slot names JSON-quoted: parse errors, which carry a path into the document
-(a chain of fewer than one block or a "mid" list of the wrong length among
-them), trees over DEPTH_LIMIT levels and trees nested too deeply for the
-recursive walks exit 2; unsupported invariant queries, series over
-swseries.TERM_BUDGET terms, braids over knots.BURAU_BUDGET strands x
-letters and families over families.FAMILY_BUDGET members exit 3;
-non-knot braids exit 4; other violated preconditions exit 5.  A reader
-that closes stdout early ends the run quietly with code 0.  ``sw``
-computes its whole stdout as pieces (sw_pieces) and writes them with one
-writelines, so the series text is never copied into a larger string, nor
-JSON-encoded when its names need no escaping.
+with BRAID = {"strands": N, "word": [ints]}; the table FORMS states fsum,
+surgery and logt for the parser and the writer alike.  A "tori" entry may
+not be empty, hold whitespace or any of + - * ( ) ^, since the series
+text writes torus names bare, or repeat another entry.  Each domain error
+exits with its class's exit_code (errors.py) and one stderr line, with
+file and slot names JSON-quoted and a builder's refusal prefixed by its
+node's path: parse errors, which carry a path into the document (a chain
+of fewer than one block or a "mid" list of the wrong length among them),
+files that are not UTF-8 JSON, trees over DEPTH_LIMIT levels and trees
+nested too deeply for the recursive walks exit 2; unsupported invariant
+queries, series over swseries.TERM_BUDGET terms, braids over
+knots.BURAU_BUDGET strands x letters and families over
+families.FAMILY_BUDGET members exit 3; non-knot braids exit 4; other
+violated preconditions exit 5.  A reader that closes stdout early ends
+the run quietly with code 0.  ``sw`` computes its whole stdout as pieces
+(sw_pieces) and writes them with one writelines, so the series text is
+never copied into a larger string, nor JSON-encoded when its names need
+no escaping.
 """
 
 from __future__ import annotations
@@ -101,7 +104,21 @@ def parse_braid_doc(doc, path: str) -> BraidWord:
         raise DocumentError(f"{path}: {exc}") from exc
 
 
+# The primitive node forms for parse_construction and construction_to_doc:
+# document key -> (node class, builder name, {document field: node
+# attribute} in the builder's argument order).  The builder is looked up by
+# name at each call, so a wrapper set on cli.fiber_sum sees every call.
+FORMS = {
+    "fsum": (FiberSum, "fiber_sum",
+             {"left": "left", "lt": "left_torus", "right": "right", "rt": "right_torus"}),
+    "surgery": (KnotSurgery, "knot_surgery", {"on": "child", "torus": "torus", "braid": "braid"}),
+    "logt": (NullLogTransform, "null_log_transform", {"on": "child", "torus": "torus"}),
+}
+
+
 def parse_construction(doc, path: str = "$") -> Construction:
+    """The tree of a document.  A CalculusError from a node's one builder
+    call is re-raised as the same class with the node's path in front."""
     if not isinstance(doc, dict):
         raise DocumentError(f"{path}: expected an object with exactly one node key")
     if "block" in doc and set(doc) <= {"block", "tori"}:
@@ -129,62 +146,58 @@ def parse_construction(doc, path: str = "$") -> Construction:
     if len(doc) != 1:
         raise DocumentError(f"{path}: expected an object with exactly one node key")
     key, value = next(iter(doc.items()))
-    if key == "csum":
+    where = f"{path}.{key}"
+    if key in FORMS:
+        _, builder, fields = FORMS[key]
+        if not isinstance(value, dict) or value.keys() != fields.keys():
+            raise DocumentError(f"{where}: expected keys {sorted(fields)}")
+        args = []
+        for field, attr in fields.items():  # a braid, a torus name or a subtree
+            arg, at = value[field], f"{where}.{field}"
+            if attr == "braid":
+                arg = parse_braid_doc(arg, at)
+            elif attr.endswith("torus"):
+                if not isinstance(arg, str):
+                    raise DocumentError(f"{at}: expected a string")
+            else:
+                arg = parse_construction(arg, at)
+            args.append(arg)
+    elif key == "csum":
         if not isinstance(value, list) or len(value) != 2:
-            raise DocumentError(f"{path}.csum: expected [left, right]")
-        return connected_sum(
-            parse_construction(value[0], f"{path}.csum[0]"),
-            parse_construction(value[1], f"{path}.csum[1]"),
-        )
-    if key == "fsum":
-        _require_keys(value, {"left", "lt", "right", "rt"}, f"{path}.fsum")
-        return fiber_sum(
-            parse_construction(value["left"], f"{path}.fsum.left"),
-            _require_str(value["lt"], f"{path}.fsum.lt"),
-            parse_construction(value["right"], f"{path}.fsum.right"),
-            _require_str(value["rt"], f"{path}.fsum.rt"),
-        )
-    if key == "surgery":
-        _require_keys(value, {"on", "torus", "braid"}, f"{path}.surgery")
-        return knot_surgery(
-            parse_construction(value["on"], f"{path}.surgery.on"),
-            _require_str(value["torus"], f"{path}.surgery.torus"),
-            parse_braid_doc(value["braid"], f"{path}.surgery.braid"),
-        )
-    if key == "logt":
-        _require_keys(value, {"on", "torus"}, f"{path}.logt")
-        return null_log_transform(
-            parse_construction(value["on"], f"{path}.logt.on"),
-            _require_str(value["torus"], f"{path}.logt.torus"),
-        )
-    if key == "XN":
+            raise DocumentError(f"{where}: expected [left, right]")
+        builder = "connected_sum"
+        args = [parse_construction(value[0], f"{where}[0]"),
+                parse_construction(value[1], f"{where}[1]")]
+    elif key == "XN":
         if not _is_int(value):
-            raise DocumentError(f"{path}.XN: expected an integer")
-        _require_chain(value, value, f"{path}.XN")
-        return fiber_sum_chain(value)
-    if key == "Y":
-        _require_keys(value, {"N", "mid", "first", "last"}, f"{path}.Y")
-        n = value["N"]
+            raise DocumentError(f"{where}: expected an integer")
+        _require_chain(value, value, where)
+        builder, args = "fiber_sum_chain", [value]
+    elif key == "Y":
+        keys = {"N", "mid", "first", "last"}
+        if not isinstance(value, dict) or value.keys() != keys:
+            raise DocumentError(f"{where}: expected keys {sorted(keys)}")
+        n, mid = value["N"], value["mid"]
         if not _is_int(n):
-            raise DocumentError(f"{path}.Y.N: expected an integer")
-        _require_chain(n, 2 * n + 2, f"{path}.Y.N")
-        if not isinstance(value["mid"], list):
-            raise DocumentError(f"{path}.Y.mid: expected a list of braids")
-        if len(value["mid"]) != n:
-            raise DocumentError(
-                f"{path}.Y.mid: expected {n} middle knots, got {len(value['mid'])}"
-            )
-        mid = [
-            parse_braid_doc(b, f"{path}.Y.mid[{i}]")
-            for i, b in enumerate(value["mid"])
-        ]
-        return surgered_chain(
+            raise DocumentError(f"{where}.N: expected an integer")
+        _require_chain(n, 2 * n + 2, f"{where}.N")
+        if not isinstance(mid, list):
+            raise DocumentError(f"{where}.mid: expected a list of braids")
+        if len(mid) != n:
+            raise DocumentError(f"{where}.mid: expected {n} middle knots, got {len(mid)}")
+        builder = "surgered_chain"
+        args = [
             n,
-            mid,
-            parse_braid_doc(value["first"], f"{path}.Y.first"),
-            parse_braid_doc(value["last"], f"{path}.Y.last"),
-        )
-    raise DocumentError(f"{path}: unknown node key {key!r}")
+            [parse_braid_doc(b, f"{where}.mid[{i}]") for i, b in enumerate(mid)],
+            parse_braid_doc(value["first"], f"{where}.first"),
+            parse_braid_doc(value["last"], f"{where}.last"),
+        ]
+    else:
+        raise DocumentError(f"{path}: unknown node key {key!r}")
+    try:
+        return globals()[builder](*args)
+    except CalculusError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _require_chain(n: int, depth: int, where: str) -> None:
@@ -203,17 +216,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _require_keys(value, keys: set[str], path: str):
-    if not isinstance(value, dict) or set(value) != keys:
-        raise DocumentError(f"{path}: expected keys {sorted(keys)}")
-
-
-def _require_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise DocumentError(f"{path}: expected a string")
-    return value
-
-
 def construction_to_doc(c: Construction) -> dict:
     """Primitive-form document that re-parses to an equal tree.
 
@@ -226,35 +228,30 @@ def construction_to_doc(c: Construction) -> dict:
         return {"block": c.kind, "tori": list(c.tori)}
     if isinstance(c, ConnectedSum):
         return {"csum": [construction_to_doc(c.left), construction_to_doc(c.right)]}
-    if isinstance(c, FiberSum):
-        return {
-            "fsum": {
-                "left": construction_to_doc(c.left),
-                "lt": c.left_torus,
-                "right": construction_to_doc(c.right),
-                "rt": c.right_torus,
-            }
-        }
-    if isinstance(c, KnotSurgery):
-        return {
-            "surgery": {
-                "on": construction_to_doc(c.child),
-                "torus": c.torus,
-                "braid": {"strands": c.braid.strands, "word": list(c.braid.word)},
-            }
-        }
-    if isinstance(c, NullLogTransform):
-        return {"logt": {"on": construction_to_doc(c.child), "torus": c.torus}}
+    for key, (cls, _, fields) in FORMS.items():
+        if isinstance(c, cls):
+            return {key: {f: _field_doc(getattr(c, attr)) for f, attr in fields.items()}}
     raise TypeError(f"not a construction node: {c!r}")
 
 
+def _field_doc(value):
+    """One field of a FORMS node as the document writes it."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, BraidWord):
+        return {"strands": value.strands, "word": list(value.word)}
+    return construction_to_doc(value)
+
+
 def _load_doc(filename: str):
+    """A UTF-8 JSON file's value (RFC 8259).  ValueError covers bad JSON,
+    bytes that are not UTF-8 and integers over Python's digit limit."""
     try:
-        with open(filename) as handle:
+        with open(filename, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise DocumentError(f"cannot read {_emit(filename)}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise DocumentError(f"{_emit(filename)}: invalid JSON: {exc}") from exc
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,7 +41,14 @@ from fibersum.cli import (
     parse_construction,
 )
 from fibersum import cli, families, swseries
-from fibersum.errors import DocumentError, FamilyTooLarge, UnsupportedNode
+from fibersum.errors import (
+    CalculusError,
+    DocumentError,
+    FamilyTooLarge,
+    NotAKnot,
+    TorusUnavailable,
+    UnsupportedNode,
+)
 from fibersum.manifolds import BLOCK_NAMES, Block
 from fibersum.ring import FactoredSeries, GroupRingElt
 
@@ -126,10 +134,61 @@ def test_sw_blowup_sum_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_sw_consumed_torus_exit_5(tmp_path, capsys):
-    doc = {"surgery": {"on": {"XN": 2}, "torus": "T[1,3]", "braid": TREFOIL_BRAID}}
-    assert main(["sw", write(tmp_path, "s.json", doc)]) == 5
-    capsys.readouterr()
+LINK_BRAID = {"strands": 2, "word": [1, 1]}
+
+
+@pytest.mark.parametrize(
+    "doc, cls, code, err",
+    [
+        ({"fsum": {"left": {"XN": 1}, "lt": "T9", "right": {"block": "K3"}, "rt": "T1"}},
+         TorusUnavailable, 5, "$.fsum: left torus 'T9' is not available"),
+        ({"fsum": {"left": {"XN": 1}, "lt": "T[1,1]", "right": {"block": "K3"}, "rt": "T9"}},
+         TorusUnavailable, 5, "$.fsum: right torus 'T9' is not available"),
+        ({"surgery": {"on": {"XN": 2}, "torus": "T[1,3]", "braid": TREFOIL_BRAID}},
+         TorusUnavailable, 5, "$.surgery: torus 'T[1,3]' is not available"),
+        ({"csum": [{"block": "K3"},
+                   {"surgery": {"on": {"XN": 1}, "torus": "T[1,2]", "braid": LINK_BRAID}}]},
+         NotAKnot, 4, "$.csum[1].surgery: closure of 2; 1,1 is not a knot"),
+        ({"logt": {"on": {"XN": 2}, "torus": "T[1,3]"}},
+         TorusUnavailable, 5, "$.logt: torus 'T[1,3]' is not available"),
+        (y_doc([LINK_BRAID]), NotAKnot, 4, "$.Y: closure of 2; 1,1 is not a knot"),
+    ],
+    ids=["fsum-left", "fsum-right", "surgery-consumed", "surgery-link-nested",
+         "logt-consumed", "Y-link"],
+)
+def test_builder_refusal_names_its_node(tmp_path, capsys, doc, cls, code, err):
+    # The builder's own error class and exit code, with the node's path.
+    assert main(["sw", write(tmp_path, "c.json", doc)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+    with pytest.raises(cls) as info:
+        parse_construction(doc)
+    assert type(info.value) is cls and str(info.value) == err
+
+
+def test_builders_are_looked_up_at_call_time(monkeypatch):
+    # A wrapper set on the cli module's attribute, as a tracer sets one,
+    # sees every builder call the parser makes.
+    calls = Counter()
+    names = ("fiber_sum", "knot_surgery", "null_log_transform", "connected_sum",
+             "fiber_sum_chain", "surgered_chain")
+    for name in names:
+        def counting(*args, name=name, builder=getattr(cli, name)):
+            calls[name] += 1
+            return builder(*args)
+        monkeypatch.setattr(cli, name, counting)
+    k3 = {"block": "K3"}
+    for doc in (
+        {"fsum": {"left": k3, "lt": "T1", "right": k3, "rt": "T2"}},
+        {"surgery": {"on": k3, "torus": "T1", "braid": TREFOIL_BRAID}},
+        {"logt": {"on": k3, "torus": "T1"}},
+        {"csum": [k3, {"block": "CP2"}]},
+        {"XN": 2},
+        y_doc([TREFOIL_BRAID]),
+    ):
+        parse_construction(doc)
+    assert calls == dict.fromkeys(names, 1)
 
 
 def test_sw_determinism(tmp_path, capsys):
@@ -644,6 +703,26 @@ def test_file_name_errors_are_one_line(tmp_path, capsys):
                     "enclosed in double quotes: line 1 column 2 (char 1)")
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b'{"XN": 1}\xff', b'{"XN": ' + b"9" * 5000 + b"}"],
+    ids=["not-utf-8", "5000-digits"],
+)
+@pytest.mark.parametrize(
+    "command", [["invariants"], ["family", "--N", "1", "--slots"]], ids=["invariants", "family"]
+)
+def test_file_that_is_not_utf8_json_exit_2(tmp_path, capsys, data, command):
+    # Read as UTF-8 whatever the locale; a byte that is not UTF-8 and an
+    # integer over the interpreter's digit limit are both invalid JSON.
+    path = tmp_path / "d.json"
+    path.write_bytes(data)
+    assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {_emit(str(path))}: invalid JSON: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def _bool_document_exit_2(tmp_path, capsys, doc, where):
     assert main(["invariants", write(tmp_path, "b.json", doc)]) == 2
     captured = capsys.readouterr()
@@ -925,3 +1004,14 @@ def test_property_every_document_exits_with_one_line(command, docs, as_json):
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
     else:
         assert err.getvalue() == ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(grammar_docs)
+def test_property_parse_refusals_name_their_node(doc):
+    # Every refusal of the parser, a builder's included, starts with the
+    # path of the node it refuses.
+    try:
+        parse_construction(doc)
+    except CalculusError as exc:
+        assert str(exc).startswith("$"), str(exc)
