@@ -22,11 +22,12 @@ not be empty, hold whitespace or any of + - * ( ) ^, since the series
 text writes torus names bare, or repeat another entry.  Each domain error
 exits with its class's exit_code (errors.py) and one stderr line, with
 file and slot names JSON-quoted and a builder's refusal prefixed by its
-node's path: parse errors, which carry a path into the document (a chain
-of fewer than one block or a "mid" list of the wrong length among them),
-files that are not UTF-8 JSON, trees over DEPTH_LIMIT levels and trees
-nested too deeply for the recursive walks exit 2; unsupported invariant
-queries, series over swseries.TERM_BUDGET terms, braids over
+node's path (a "Y" braid's by its slot's): parse errors, which carry a
+path into the document (a chain of fewer than one block or a "mid" list
+of the wrong length among them), files that are not UTF-8 JSON or nest
+deeper than the JSON decoder reads, and documents or trees over
+DEPTH_LIMIT levels exit 2; unsupported invariant queries, series over
+swseries.TERM_BUDGET terms, braids over
 knots.BURAU_BUDGET strands x letters and families over
 families.FAMILY_BUDGET members exit 3; non-knot braids exit 4; other
 violated preconditions exit 5.  A reader that closes stdout early ends
@@ -48,6 +49,7 @@ from .errors import (
     BadParameter,
     CalculusError,
     DocumentError,
+    NotAKnot,
     UnknownBlock,
 )
 from .families import (
@@ -59,7 +61,7 @@ from .families import (
     one_stabilization_equivalent,
     stable_normal_form,
 )
-from .knots import BraidWord, alexander
+from .knots import BraidWord, alexander, closure_components
 from .manifolds import (
     Block,
     ConnectedSum,
@@ -72,6 +74,7 @@ from .manifolds import (
     connected_sum,
     fiber_sum,
     fiber_sum_chain,
+    fold,
     knot_surgery,
     null_log_transform,
     surgered_chain,
@@ -81,9 +84,9 @@ from .swseries import SWReport, factored_report, require_term_budget, sw_factors
 
 EXIT_OK = 0
 
-# Deepest tree {"XN": N} (N levels), {"Y": ...} (2N + 2) or family --N (N plus
-# slots) may build.  Builders recurse once a level; {"XN": 945} was the deepest
-# that finished inside pytest at 1,000 frames, so 800 keeps a 145-frame margin.
+# Deepest tree a document may nest or {"XN": N} (N levels), {"Y": ...} (2N + 2)
+# or family --N (N plus slots) may build.  A cost cap: builders walk their
+# inputs, so building is quadratic in depth; {"XN": 800} takes about 5 s.
 DEPTH_LIMIT = 800
 
 
@@ -116,9 +119,11 @@ FORMS = {
 }
 
 
-def parse_construction(doc, path: str = "$") -> Construction:
-    """The tree of a document.  A CalculusError from a node's one builder
-    call is re-raised as the same class with the node's path in front."""
+def parse_construction(doc, path: str = "$", depth: int = 1) -> Construction:
+    """The tree of a document whose root is at depth.  A node deeper than
+    DEPTH_LIMIT is refused unread, which bounds this descent; a builder's
+    CalculusError is re-raised as its class with the node's path in front."""
+    _require_depth(depth, path)
     if not isinstance(doc, dict):
         raise DocumentError(f"{path}: expected an object with exactly one node key")
     if "block" in doc and set(doc) <= {"block", "tori"}:
@@ -160,18 +165,18 @@ def parse_construction(doc, path: str = "$") -> Construction:
                 if not isinstance(arg, str):
                     raise DocumentError(f"{at}: expected a string")
             else:
-                arg = parse_construction(arg, at)
+                arg = parse_construction(arg, at, depth + 1)
             args.append(arg)
     elif key == "csum":
         if not isinstance(value, list) or len(value) != 2:
             raise DocumentError(f"{where}: expected [left, right]")
         builder = "connected_sum"
-        args = [parse_construction(value[0], f"{where}[0]"),
-                parse_construction(value[1], f"{where}[1]")]
+        args = [parse_construction(value[0], f"{where}[0]", depth + 1),
+                parse_construction(value[1], f"{where}[1]", depth + 1)]
     elif key == "XN":
         if not _is_int(value):
             raise DocumentError(f"{where}: expected an integer")
-        _require_chain(value, value, where)
+        _require_depth(value, where, value)
         builder, args = "fiber_sum_chain", [value]
     elif key == "Y":
         keys = {"N", "mid", "first", "last"}
@@ -180,18 +185,18 @@ def parse_construction(doc, path: str = "$") -> Construction:
         n, mid = value["N"], value["mid"]
         if not _is_int(n):
             raise DocumentError(f"{where}.N: expected an integer")
-        _require_chain(n, 2 * n + 2, f"{where}.N")
+        _require_depth(2 * n + 2, f"{where}.N", n)
         if not isinstance(mid, list):
             raise DocumentError(f"{where}.mid: expected a list of braids")
         if len(mid) != n:
             raise DocumentError(f"{where}.mid: expected {n} middle knots, got {len(mid)}")
-        builder = "surgered_chain"
-        args = [
-            n,
-            [parse_braid_doc(b, f"{where}.mid[{i}]") for i, b in enumerate(mid)],
-            parse_braid_doc(value["first"], f"{where}.first"),
-            parse_braid_doc(value["last"], f"{where}.last"),
-        ]
+        docs = [*mid, value["first"], value["last"]]
+        paths = [f"{where}.mid[{i}]" for i in range(n)] + [f"{where}.first", f"{where}.last"]
+        braids = [parse_braid_doc(b, at) for b, at in zip(docs, paths)]
+        for at, braid in zip(paths, braids):  # each knot at its own path
+            if closure_components(braid) != 1:
+                raise NotAKnot(f"{at}: closure of {braid} is not a knot")
+        builder, args = "surgered_chain", [n, braids[:n], *braids[n:]]
     else:
         raise DocumentError(f"{path}: unknown node key {key!r}")
     try:
@@ -200,10 +205,10 @@ def parse_construction(doc, path: str = "$") -> Construction:
         raise type(exc)(f"{where}: {exc}") from exc
 
 
-def _require_chain(n: int, depth: int, where: str) -> None:
-    """Refuse, before anything is built, a chain of n < 1 blocks or a tree
-    of depth levels over DEPTH_LIMIT."""
-    if n < 1:
+def _require_depth(depth: int, where: str, blocks: int = 1) -> None:
+    """Refuse, before anything is built, a chain of fewer than one block,
+    then a tree or document of depth levels over DEPTH_LIMIT."""
+    if blocks < 1:
         raise DocumentError(f"{where}: the chain needs at least one block")
     if depth > DEPTH_LIMIT:
         raise DocumentError(
@@ -222,36 +227,43 @@ def construction_to_doc(c: Construction) -> dict:
     Blocks whose torus names differ from the defaults carry an extra
     "tori" field so the round trip is lossless.
     """
-    if isinstance(c, Block):
-        if c == block(c.kind):
-            return {"block": c.kind}
-        return {"block": c.kind, "tori": list(c.tori)}
-    if isinstance(c, ConnectedSum):
-        return {"csum": [construction_to_doc(c.left), construction_to_doc(c.right)]}
+    return fold(c, _node_doc)
+
+
+def _node_doc(node: Construction, docs: list) -> dict:
+    """A node's document, given its subtrees' documents in order."""
+    if isinstance(node, Block):
+        if node == block(node.kind):
+            return {"block": node.kind}
+        return {"block": node.kind, "tori": list(node.tori)}
+    if isinstance(node, ConnectedSum):
+        return {"csum": docs}
+    docs = iter(docs)
     for key, (cls, _, fields) in FORMS.items():
-        if isinstance(c, cls):
-            return {key: {f: _field_doc(getattr(c, attr)) for f, attr in fields.items()}}
-    raise TypeError(f"not a construction node: {c!r}")
+        if isinstance(node, cls):
+            return {key: {f: _field_doc(getattr(node, attr), docs) for f, attr in fields.items()}}
 
 
-def _field_doc(value):
-    """One field of a FORMS node as the document writes it."""
+def _field_doc(value, docs):
+    """One field of a FORMS node as the document writes it; a subtree is
+    the next of its subtrees' documents."""
     if isinstance(value, str):
         return value
     if isinstance(value, BraidWord):
         return {"strands": value.strands, "word": list(value.word)}
-    return construction_to_doc(value)
+    return next(docs)
 
 
 def _load_doc(filename: str):
     """A UTF-8 JSON file's value (RFC 8259).  ValueError covers bad JSON,
-    bytes that are not UTF-8 and integers over Python's digit limit."""
+    bytes that are not UTF-8 and integers over Python's digit limit;
+    RecursionError is the decoder's refusal of deep nesting."""
     try:
         with open(filename, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise DocumentError(f"cannot read {_emit(filename)}: {exc.strerror}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"{_emit(filename)}: invalid JSON: {exc}") from exc
 
 
@@ -389,7 +401,7 @@ def cmd_family(args) -> int:
         slots[name] = [
             parse_braid_doc(b, f"{path}[{i}]") for i, b in enumerate(braids)
         ]
-    _require_chain(args.N, args.N + len(slots), "--N")
+    _require_depth(args.N + len(slots), "--N", args.N)
     members = family_generate(args.N, slots)
     report = family_report(members)
     print(_emit(report))
@@ -492,12 +504,6 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except RecursionError:
-        # The document parser and the tree walks recurse once per level.
-        print(
-            "error: the construction is nested too deeply to evaluate", file=sys.stderr
-        )
-        return DocumentError.exit_code
     except CalculusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -57,20 +57,6 @@ class BraidWord:
                     f"letter {letter} is not a generator on {self.strands} strands"
                 )
 
-    # ---------------------------------------------------------- closure
-
-    def permutation(self) -> tuple[int, ...]:
-        """Where each strand ends: entry i (0-based) is the final position
-        of the strand starting at position i."""
-        position = list(range(self.strands))
-        for letter in self.word:
-            i = abs(letter) - 1
-            position[i], position[i + 1] = position[i + 1], position[i]
-        ends = [0] * self.strands
-        for final_pos, strand in enumerate(position):
-            ends[strand] = final_pos
-        return tuple(ends)
-
     # ---------------------------------------------------------- moves
 
     def conjugated(self, conjugator: tuple[int, ...]) -> "BraidWord":

@@ -9,15 +9,16 @@ which is all the invariant formulas consume.
 
 Tori are tracked by globally unique names.  A fiber sum consumes the two
 tori it glues; knot surgery and log transforms leave their torus in place.
-Characteristic numbers (chi, sigma, b2+-, parity) are one flat count
-over the blocks; every block is simply connected and so is every
-combination of them.  Parity under fiber sum is declared preserved for
-these blocks rather than derived.
+Characteristic numbers (chi, sigma, b2+-, parity) are one count over the
+blocks; every block is simply connected and so is every combination of
+them.  Parity under fiber sum is declared preserved for these blocks
+rather than derived.  Every walk is one post-order ``fold`` with an
+explicit stack, so no walk takes a frame per level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 from .errors import BadParameter, NotAKnot, TorusUnavailable, UnknownBlock
@@ -26,16 +27,18 @@ from .ring import NAME
 
 BLOCK_NAMES = ("K3", "CP2", "CP2bar", "S2xS2", "S2twS2")
 
-# chi, sigma, parity for the five building blocks; all simply connected.
+# chi, sigma, even form for the five building blocks; all simply connected.
 _BLOCK_NUMBERS = {
-    "K3": (24, -16, "even"),
-    "CP2": (3, 1, "odd"),
-    "CP2bar": (3, -1, "odd"),
-    "S2xS2": (4, 0, "even"),
-    "S2twS2": (4, 0, "odd"),
+    "K3": (24, -16, True),
+    "CP2": (3, 1, False),
+    "CP2bar": (3, -1, False),
+    "S2xS2": (4, 0, True),
+    "S2twS2": (4, 0, False),
 }
 
 _K3_DEFAULT_TORI = ("T1", "T2", "T3")
+
+_VISIT = object()  # on fold's stack: the kid count and node under it are due a visit
 
 
 @dataclass(frozen=True)
@@ -131,62 +134,81 @@ def block(name: str, copy: int | None = None) -> Block:
     return Block("K3", tuple(f"T[{copy},{i}]" for i in (1, 2, 3)))
 
 
-# --------------------------------------------------------------- registry
+# ------------------------------------------------------------------ walks
+
+
+def _children(node: Construction) -> tuple:
+    if isinstance(node, Block):
+        return ()
+    if isinstance(node, (ConnectedSum, FiberSum)):
+        return node.left, node.right
+    if isinstance(node, (KnotSurgery, NullLogTransform)):
+        return (node.child,)
+    raise TypeError(f"not a construction node: {node!r}")
+
+
+def fold(root, visit, kids=_children):
+    """visit(node, [results of kids(node)]) for every node under root, in
+    post-order, with an explicit stack.  Each kid's subtree is finished
+    before the next kid's is entered, as in a recursive walk."""
+    done = []  # results of finished subtrees, not yet given to their parent
+    stack = [root]  # nodes to enter; an entered node waits as node, kid count, _VISIT
+    while stack:
+        node = stack.pop()
+        if node is _VISIT:  # the kids' results are the last ones done
+            cut = len(done) - stack.pop()
+            node = stack.pop()
+            done[cut:] = [visit(node, done[cut:])]
+        elif below := kids(node):
+            stack += (node, len(below), _VISIT, *below[::-1])
+        else:
+            done.append(visit(node, below))
+    return done[0]
 
 
 def torus_records(c: Construction) -> dict[str, TorusRecord]:
     """All torus records of a construction, keyed by unique name."""
-    if isinstance(c, Block):
-        return {name: TorusRecord(name) for name in c.tori}
-    if isinstance(c, ConnectedSum):
-        records = torus_records(c.left)
-        records.update(torus_records(c.right))
-        return records
-    if isinstance(c, FiberSum):
-        records = torus_records(c.left)
-        records.update(torus_records(c.right))
-        for name in (c.left_torus, c.right_torus):
-            records[name] = replace(records[name], status="consumed")
-        return records
-    if isinstance(c, (KnotSurgery, NullLogTransform)):
-        return torus_records(c.child)
-    raise TypeError(f"not a construction node: {c!r}")
+    return fold(c, _records)
+
+
+def _records(node: Construction, kids: list) -> dict[str, TorusRecord]:
+    if isinstance(node, Block):
+        return {name: TorusRecord(name) for name in node.tori}
+    records = kids[0]
+    if len(kids) == 2:
+        records.update(kids[1])
+    if isinstance(node, FiberSum):
+        for name in (node.left_torus, node.right_torus):
+            records[name] = TorusRecord(name, "consumed")
+    return records
 
 
 def available_tori(c: Construction) -> tuple[str, ...]:
-    records = torus_records(c)
-    return tuple(sorted(n for n, r in records.items() if r.status == "available"))
-
-
-def _all_names(c: Construction) -> set[str]:
-    return set(torus_records(c))
+    return tuple(sorted(n for n, r in torus_records(c).items() if r.status == "available"))
 
 
 def _rename_tori(c: Construction, prefix: str) -> Construction:
-    if isinstance(c, Block):
-        return Block(c.kind, tuple(prefix + n for n in c.tori))
-    if isinstance(c, ConnectedSum):
-        return ConnectedSum(_rename_tori(c.left, prefix), _rename_tori(c.right, prefix))
-    if isinstance(c, FiberSum):
-        return FiberSum(
-            _rename_tori(c.left, prefix),
-            prefix + c.left_torus,
-            _rename_tori(c.right, prefix),
-            prefix + c.right_torus,
-        )
-    if isinstance(c, KnotSurgery):
-        return KnotSurgery(_rename_tori(c.child, prefix), prefix + c.torus, c.braid)
-    if isinstance(c, NullLogTransform):
-        return NullLogTransform(_rename_tori(c.child, prefix), prefix + c.torus)
-    raise TypeError(f"not a construction node: {c!r}")
+    def visit(node: Construction, kids: list) -> Construction:
+        if isinstance(node, Block):
+            return Block(node.kind, tuple(prefix + n for n in node.tori))
+        if isinstance(node, ConnectedSum):
+            return ConnectedSum(*kids)
+        if isinstance(node, FiberSum):
+            left, right = kids
+            return FiberSum(left, prefix + node.left_torus, right, prefix + node.right_torus)
+        if isinstance(node, KnotSurgery):
+            return KnotSurgery(kids[0], prefix + node.torus, node.braid)
+        return NullLogTransform(kids[0], prefix + node.torus)
+
+    return fold(c, visit)
 
 
 def _disambiguate(a: Construction, b: Construction):
     """Prefix the right subtree's torus names until they clash with
     nothing on the left.  Returns (new_b, renamer)."""
-    left_names = _all_names(a)
+    left_names = set(torus_records(a))
     prefix = ""
-    while _all_names(b) & left_names:
+    while not left_names.isdisjoint(torus_records(b)):
         b = _rename_tori(b, "R:")
         prefix = "R:" + prefix
     return b, (lambda name: prefix + name)
@@ -216,11 +238,10 @@ def fiber_sum(a: Construction, a_torus: str, b: Construction, b_torus: str) -> F
     are consumed, and their common homology class survives under the
     left torus's name.  All other tori stay available.
     """
-    b, rename = _disambiguate(a, b)
-    b_torus = rename(b_torus)
     _require_available(a, a_torus, "left ")
     _require_available(b, b_torus, "right ")
-    return FiberSum(a, a_torus, b, b_torus)
+    b, rename = _disambiguate(a, b)
+    return FiberSum(a, a_torus, b, rename(b_torus))
 
 
 def knot_surgery(a: Construction, torus: str, braid: BraidWord) -> KnotSurgery:
@@ -253,27 +274,21 @@ def char_numbers(c: Construction) -> CharNumbers:
     (chi(T^2) = 0 for a fiber sum), sigma sums them (Novikov additivity),
     and the form is even when every block's is.  b2+- follow (b1 = 0);
     every construction is simply connected."""
-    chi = sigma = 0
-    even = True
-    stack = [c]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Block):
-            block_chi, block_sigma, block_parity = _BLOCK_NUMBERS[node.kind]
-            chi += block_chi
-            sigma += block_sigma
-            even = even and block_parity == "even"
-        elif isinstance(node, (ConnectedSum, FiberSum)):
-            chi -= 2 * isinstance(node, ConnectedSum)
-            stack += [node.left, node.right]
-        elif isinstance(node, (KnotSurgery, NullLogTransform)):
-            stack.append(node.child)
-        else:
-            raise TypeError(f"not a construction node: {node!r}")
+    chi, sigma, even = fold(c, _numbers)
     b2_plus = (chi - 2 + sigma) // 2
     b2_minus = (chi - 2 - sigma) // 2
     parity = "even" if even else "odd"
     return CharNumbers(chi, sigma, 0, b2_plus, b2_minus, parity, True)
+
+
+def _numbers(node: Construction, kids: list) -> tuple[int, int, bool]:
+    """(chi, sigma, even) of a subtree."""
+    if isinstance(node, Block):
+        return _BLOCK_NUMBERS[node.kind]
+    if len(kids) == 1:
+        return kids[0]
+    (chi, sigma, even), (chi2, sigma2, even2) = kids
+    return chi + chi2 - 2 * isinstance(node, ConnectedSum), sigma + sigma2, even and even2
 
 
 # -------------------------------------------------------------- builders

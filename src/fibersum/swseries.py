@@ -49,7 +49,9 @@ from .manifolds import (
     FiberSum,
     KnotSurgery,
     NullLogTransform,
+    _children,
     char_numbers,
+    fold,
 )
 from .ring import ClassVector, FactoredSeries, GroupRingElt, LaurentPoly
 
@@ -67,21 +69,27 @@ def _surgery_poly(braid: BraidWord) -> LaurentPoly:
 
 def sw_factors(c: Construction) -> FactoredSeries:
     """Seiberg-Witten series of a construction, one factor per torus
-    class; factors on the same class multiply together."""
-    if isinstance(c, Block):
-        if c.kind == "K3":
+    class; factors on the same class multiply together.  No rule reads
+    below a connected sum or null log transform, so the walk stops there."""
+    stop = (ConnectedSum, NullLogTransform)
+    return fold(c, _sw_visit, lambda node: () if isinstance(node, stop) else _children(node))
+
+
+def _sw_visit(node: Construction, kids: list) -> FactoredSeries:
+    if isinstance(node, Block):
+        if node.kind == "K3":
             return FactoredSeries.one()
         raise UnsupportedNode(
-            f"no SW value for the rational block {c.kind} outside a vanishing sum"
+            f"no SW value for the rational block {node.kind} outside a vanishing sum"
         )
-    if isinstance(c, FiberSum):
-        both = sw_factors(c.left) * sw_factors(c.right)
-        return both.times(c.left_torus, FIBER_POLY * FIBER_POLY)
-    if isinstance(c, KnotSurgery):
-        return sw_factors(c.child).times(c.torus, _surgery_poly(c.braid))
-    if isinstance(c, ConnectedSum):
-        left_pos = char_numbers(c.left).b2_plus > 0
-        right_pos = char_numbers(c.right).b2_plus > 0
+    if isinstance(node, FiberSum):
+        left, right = kids
+        return (left * right).times(node.left_torus, FIBER_POLY * FIBER_POLY)
+    if isinstance(node, KnotSurgery):
+        return kids[0].times(node.torus, _surgery_poly(node.braid))
+    if isinstance(node, ConnectedSum):
+        left_pos = char_numbers(node.left).b2_plus > 0
+        right_pos = char_numbers(node.right).b2_plus > 0
         if left_pos and right_pos:
             # Both invariants vanish on a sum of two pieces with positive
             # b2+ (in particular after any stabilization).
@@ -93,11 +101,9 @@ def sw_factors(c: Construction) -> FactoredSeries:
             f"no formula for a connected sum with b2+ = 0 on the {side} "
             "(a blow-up formula would be needed)"
         )
-    if isinstance(c, NullLogTransform):
-        raise UnsupportedNode(
-            f"no gluing formula for a null log transform at torus {c.torus!r}"
-        )
-    raise TypeError(f"not a construction node: {c!r}")
+    raise UnsupportedNode(
+        f"no gluing formula for a null log transform at torus {node.torus!r}"
+    )
 
 
 def require_term_budget(series: FactoredSeries) -> None:
@@ -126,7 +132,7 @@ def sw_first_power_formula(
     the fiber-sum factors to the FIRST power, one factor per class.
 
     This is the other convention in circulation for the same family; the
-    recursive engine squares those factors.  Both are exposed so the
+    engine squares those factors.  Both are exposed so the
     discrepancy is testable rather than hidden: the engine's output equals
     this one times prod_(alpha<n) (exp(T[alpha,3]) - exp(-T[alpha,3])).
     """
@@ -326,16 +332,3 @@ def factored_report(series: FactoredSeries, cn: CharNumbers) -> SWReport:
 def sw_report(c: Construction) -> SWReport:
     return factored_report(sw_factors(c), char_numbers(c))
 
-
-__all__ = [
-    "SWReport",
-    "basic_classes",
-    "check_conjugation_symmetry",
-    "conjugation_sign",
-    "factored_report",
-    "require_term_budget",
-    "sw_factors",
-    "sw_first_power_formula",
-    "sw_report",
-    "sw_series",
-]

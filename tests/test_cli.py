@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -144,6 +145,10 @@ LINK_BRAID = {"strands": 2, "word": [1, 1]}
          TorusUnavailable, 5, "$.fsum: left torus 'T9' is not available"),
         ({"fsum": {"left": {"XN": 1}, "lt": "T[1,1]", "right": {"block": "K3"}, "rt": "T9"}},
          TorusUnavailable, 5, "$.fsum: right torus 'T9' is not available"),
+        # The right side's names clash with the left's, so the builder
+        # renames them, but the refusal names the torus the document wrote.
+        ({"fsum": {"left": {"block": "K3"}, "lt": "T1", "right": {"block": "K3"}, "rt": "T9"}},
+         TorusUnavailable, 5, "$.fsum: right torus 'T9' is not available"),
         ({"surgery": {"on": {"XN": 2}, "torus": "T[1,3]", "braid": TREFOIL_BRAID}},
          TorusUnavailable, 5, "$.surgery: torus 'T[1,3]' is not available"),
         ({"csum": [{"block": "K3"},
@@ -151,10 +156,17 @@ LINK_BRAID = {"strands": 2, "word": [1, 1]}
          NotAKnot, 4, "$.csum[1].surgery: closure of 2; 1,1 is not a knot"),
         ({"logt": {"on": {"XN": 2}, "torus": "T[1,3]"}},
          TorusUnavailable, 5, "$.logt: torus 'T[1,3]' is not available"),
-        (y_doc([LINK_BRAID]), NotAKnot, 4, "$.Y: closure of 2; 1,1 is not a knot"),
+        # A Y's braids are checked at their own slots, mid first.
+        (y_doc([LINK_BRAID]), NotAKnot, 4, "$.Y.mid[0]: closure of 2; 1,1 is not a knot"),
+        (y_doc([TREFOIL_BRAID, LINK_BRAID], first=LINK_BRAID, n=2),
+         NotAKnot, 4, "$.Y.mid[1]: closure of 2; 1,1 is not a knot"),
+        (y_doc([TREFOIL_BRAID], first=LINK_BRAID, last=LINK_BRAID),
+         NotAKnot, 4, "$.Y.first: closure of 2; 1,1 is not a knot"),
+        (y_doc([TREFOIL_BRAID], last=LINK_BRAID),
+         NotAKnot, 4, "$.Y.last: closure of 2; 1,1 is not a knot"),
     ],
-    ids=["fsum-left", "fsum-right", "surgery-consumed", "surgery-link-nested",
-         "logt-consumed", "Y-link"],
+    ids=["fsum-left", "fsum-right", "fsum-right-renamed", "surgery-consumed",
+         "surgery-link-nested", "logt-consumed", "Y-link", "Y-mid-1", "Y-first", "Y-last"],
 )
 def test_builder_refusal_names_its_node(tmp_path, capsys, doc, cls, code, err):
     # The builder's own error class and exit code, with the node's path.
@@ -833,11 +845,13 @@ def test_property_library_tree_document_round_trip(tree):
     "text, err",
     [
         # A chain past DEPTH_LIMIT is refused before it is built.
-        (json.dumps({"XN": 990}), "$.XN: tree depth 990 is over the limit 800"),
-        # Nesting the document itself runs the recursive parser out of stack.
+        (json.dumps({"XN": 990}), r"\$\.XN: tree depth 990 is over the limit 800"),
+        # 3,000 levels of JSON nesting: the decoder's own depth refusal,
+        # whose depth depends on the interpreter, or else the parser's.
         (
             '{"csum": [' * 1500 + '{"block": "K3"}' + ', {"block": "CP2"}]}' * 1500,
-            "the construction is nested too deeply to evaluate",
+            r'".*deep\.json": invalid JSON: .*|\$(\.csum\[0\]){800}: '
+            r"tree depth 801 is over the limit 800",
         ),
     ],
     ids=["XN-990", "csum-1500"],
@@ -849,7 +863,44 @@ def test_too_deep_tree_exit_2(tmp_path, capsys, text, err):
     assert main(["invariants", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {err}\n"
+    assert re.fullmatch(f"error: ({err})\n", captured.err)
+
+
+def _nested_fsum_chain(levels: int) -> dict:
+    """A chain of levels - 1 nested fsum nodes over K3 blocks, built in
+    process, so no JSON decoder limits its depth: levels tree levels."""
+    doc = {"block": "K3", "tori": ["T[1,1]", "T[1,2]", "T[1,3]"]}
+    for alpha in range(1, levels):
+        right = {"block": "K3", "tori": [f"T[{alpha + 1},{i}]" for i in (1, 2, 3)]}
+        doc = {"fsum": {"left": doc, "lt": f"T[{alpha},3]", "right": right,
+                        "rt": f"T[{alpha + 1},1]"}}
+    return doc
+
+
+def test_document_depth_limit_on_every_python():
+    # The parser counts the document's own nesting and refuses the first
+    # node past DEPTH_LIMIT before it reads that node, whatever the
+    # interpreter's recursion limit.  Documents built in process meet no
+    # JSON decoder.  800 levels of unknot surgeries build in well under a
+    # second (an fsum chain as deep takes seconds).
+    doc = {"block": "K3"}
+    for _ in range(DEPTH_LIMIT - 1):
+        doc = {"surgery": {"on": doc, "torus": "T1", "braid": UNKNOT_BRAID}}
+    tree = parse_construction(doc)
+    assert available_tori(tree) == ("T1", "T2", "T3")
+    assert sw_factors(tree) == FactoredSeries.one()
+    over = {"logt": {"on": doc, "torus": "T1"}}
+    with pytest.raises(DocumentError) as info:
+        parse_construction(over)
+    path = "$.logt.on" + ".surgery.on" * (DEPTH_LIMIT - 1)
+    assert str(info.value) == f"{path}: tree depth 801 is over the limit 800"
+    with pytest.raises(DocumentError) as info:
+        parse_construction(_nested_fsum_chain(DEPTH_LIMIT + 1))
+    path = "$" + ".fsum.left" * DEPTH_LIMIT
+    assert str(info.value) == f"{path}: tree depth 801 is over the limit 800"
+    # Counted from the document's root, through any node kind.
+    with pytest.raises(DocumentError, match=r"^\$\.csum\[1\](\.surgery\.on){799}: tree depth 801 "):
+        parse_construction({"csum": [{"block": "K3"}, doc]})
 
 
 def test_depth_limit_boundary(tmp_path, capsys, monkeypatch):
@@ -883,9 +934,8 @@ def test_depth_limit_boundary(tmp_path, capsys, monkeypatch):
 
 
 def test_depth_limit_tree_completes(tmp_path, capsys):
-    # The deepest admitted chain builds and evaluates inside pytest's own
-    # stack, so a change that adds frames per level shows up here.  Building
-    # recurses; invariants and stabilize then walk the tree flat.
+    # The deepest admitted chain builds and evaluates.  No walk takes a
+    # frame per level; the time, all of it building, is quadratic in depth.
     assert DEPTH_LIMIT == 800
     assert main(["invariants", write(tmp_path, "x.json", {"XN": DEPTH_LIMIT})]) == 0
     assert capsys.readouterr().out.startswith(f"chi={24 * DEPTH_LIMIT} ")

@@ -17,13 +17,17 @@ from fibersum import (
     null_log_transform,
     stable_normal_form,
     surgered_chain,
+    sw_factors,
     torus_records,
 )
+from fibersum.cli import construction_to_doc, parse_construction
 from fibersum.errors import (
     BadParameter,
+    DocumentError,
     NotAKnot,
     TorusUnavailable,
     UnknownBlock,
+    UnsupportedNode,
 )
 from fibersum.manifolds import (
     BLOCK_NAMES,
@@ -33,6 +37,7 @@ from fibersum.manifolds import (
     KnotSurgery,
     NullLogTransform,
 )
+from fibersum.ring import FactoredSeries
 
 
 # ------------------------------------------------------------------ blocks
@@ -286,7 +291,7 @@ def test_char_numbers_refuse_a_non_node():
 def test_deep_chain_from_node_constructors():
     # A 5,000-level fiber-sum chain, under a knot surgery and a log
     # transform every tenth level, and a rational sum nested as deep: far
-    # past the recursion limit, so every reader must walk flat.
+    # past the recursion limit, so every reader and builder must walk flat.
     n = 5000
     chain = block("K3", copy=1)
     for alpha in range(1, n):
@@ -305,3 +310,26 @@ def test_deep_chain_from_node_constructors():
     assert stable_normal_form(rational) == (2 * (n // 3) + 1, 2 * (n // 3) + 1)
     assert stable_normal_form(ConnectedSum(chain, block("S2twS2"))) == (4 * n, 20 * n)
     assert not homotopy_equivalent(chain, rational)
+    # Every walk is the one iterative fold: no RecursionError at any depth.
+    free = available_tori(chain)
+    assert len(free) == n + 2 and free[0] == "T[1,1]"
+    summed = connected_sum(chain, chain)
+    assert available_tori(summed.right) == tuple(sorted("R:" + name for name in free))
+    with pytest.raises(UnsupportedNode, match="null log transform at torus 'T\\[1,1\\]'"):
+        sw_factors(chain)
+    surgeries = block("K3")
+    for _ in range(n):
+        surgeries = KnotSurgery(surgeries, "T1", UNKNOT)
+    assert sw_factors(surgeries) == FactoredSeries.one()
+    doc, depth = construction_to_doc(chain), 1
+    assert doc["fsum"]["rt"] == f"T[{n},1]"
+    node = doc
+    while "block" not in node:  # the left spine, down to the first block
+        key, = node
+        node = node[key]["on" if key in ("surgery", "logt") else "left"]
+        depth += 1
+    assert node == {"block": "K3", "tori": ["T[1,1]", "T[1,2]", "T[1,3]"]}
+    assert depth == n + 2 * ((n - 1) // 10)
+    # The parser alone refuses the document's depth, before it builds.
+    with pytest.raises(DocumentError, match=r"^\$(\.\w+\.(left|on)){800}: tree depth 801 is over"):
+        parse_construction(doc)
