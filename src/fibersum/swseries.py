@@ -70,40 +70,51 @@ def _surgery_poly(braid: BraidWord) -> LaurentPoly:
 def sw_factors(c: Construction) -> FactoredSeries:
     """Seiberg-Witten series of a construction, one factor per torus
     class; factors on the same class multiply together.  No rule reads
-    below a connected sum or null log transform, so the walk stops there."""
-    stop = (ConnectedSum, NullLogTransform)
-    return fold(c, _sw_visit, lambda node: () if isinstance(node, stop) else _children(node))
+    below a connected sum or null log transform, so the walk stops there.
 
+    The walk gathers every factor into one dict and passes up only the
+    scalar, so its time is linear in the tree, and one FactoredSeries is
+    built at the root.  Its form is unique (Gauss's lemma), so
+    normalizing once gives the fields a per-node product would."""
+    factors: dict[str, LaurentPoly] = {}
 
-def _sw_visit(node: Construction, kids: list) -> FactoredSeries:
-    if isinstance(node, Block):
-        if node.kind == "K3":
-            return FactoredSeries.one()
+    def times(name: str, poly: LaurentPoly) -> None:
+        factors[name] = factors[name] * poly if name in factors else poly
+
+    def visit(node: Construction, kids: list) -> int:
+        if isinstance(node, Block):
+            if node.kind == "K3":
+                return 1
+            raise UnsupportedNode(
+                f"no SW value for the rational block {node.kind} outside a vanishing sum"
+            )
+        if isinstance(node, FiberSum):
+            times(node.left_torus, FIBER_POLY * FIBER_POLY)
+            return kids[0] * kids[1]
+        if isinstance(node, KnotSurgery):
+            times(node.torus, _surgery_poly(node.braid))
+            return kids[0]
+        if isinstance(node, ConnectedSum):
+            left_pos = char_numbers(node.left).b2_plus > 0
+            right_pos = char_numbers(node.right).b2_plus > 0
+            if left_pos and right_pos:
+                # Both invariants vanish on a sum of two pieces with positive
+                # b2+ (in particular after any stabilization).
+                return 0
+            side = "both summands"
+            if left_pos or right_pos:
+                side = "right summand" if left_pos else "left summand"
+            raise UnsupportedSum(
+                f"no formula for a connected sum with b2+ = 0 on the {side} "
+                "(a blow-up formula would be needed)"
+            )
         raise UnsupportedNode(
-            f"no SW value for the rational block {node.kind} outside a vanishing sum"
+            f"no gluing formula for a null log transform at torus {node.torus!r}"
         )
-    if isinstance(node, FiberSum):
-        left, right = kids
-        return (left * right).times(node.left_torus, FIBER_POLY * FIBER_POLY)
-    if isinstance(node, KnotSurgery):
-        return kids[0].times(node.torus, _surgery_poly(node.braid))
-    if isinstance(node, ConnectedSum):
-        left_pos = char_numbers(node.left).b2_plus > 0
-        right_pos = char_numbers(node.right).b2_plus > 0
-        if left_pos and right_pos:
-            # Both invariants vanish on a sum of two pieces with positive
-            # b2+ (in particular after any stabilization).
-            return FactoredSeries.zero()
-        side = "both summands"
-        if left_pos or right_pos:
-            side = "right summand" if left_pos else "left summand"
-        raise UnsupportedSum(
-            f"no formula for a connected sum with b2+ = 0 on the {side} "
-            "(a blow-up formula would be needed)"
-        )
-    raise UnsupportedNode(
-        f"no gluing formula for a null log transform at torus {node.torus!r}"
-    )
+
+    stop = (ConnectedSum, NullLogTransform)
+    scalar = fold(c, visit, lambda node: () if isinstance(node, stop) else _children(node))
+    return FactoredSeries(factors, scalar)
 
 
 def require_term_budget(series: FactoredSeries) -> None:

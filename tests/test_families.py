@@ -1,5 +1,7 @@
 """Family generation, comparison verdicts, stabilization normal forms."""
 
+import itertools
+import random
 from collections import Counter
 from math import comb
 
@@ -7,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import FIGURE_EIGHT, TREFOIL, UNKNOT, rational_chain
+from corpus import (
+    FIGURE_EIGHT,
+    TREFOIL,
+    UNKNOT,
+    named_corpus,
+    random_knot_braids,
+    rational_chain,
+)
+from fibersum import swseries
 from fibersum import (
     DISTINCT,
     INCONCLUSIVE,
@@ -19,6 +29,7 @@ from fibersum import (
     char_numbers,
     connected_sum,
     distinguish,
+    factored_report,
     family_generate,
     family_report,
     fiber_sum,
@@ -30,6 +41,7 @@ from fibersum import (
     one_stabilization_equivalent,
     stable_normal_form,
     surgered_chain,
+    sw_factors,
 )
 from fibersum.errors import NotAKnot, TorusUnavailable, UnsupportedNode
 from fibersum.manifolds import (
@@ -52,6 +64,31 @@ def test_family_counts():
              "T[2,2]": [UNKNOT, TREFOIL, FIGURE_EIGHT]}
     assert len(family_generate(2, slots)) == 9
     assert family_generate(2, {}) == [fiber_sum_chain(2)]
+
+
+def seeded_slots(seed):
+    """A chain length and a slot file drawn from the knot corpus by a
+    seeded generator: one to three slots of one to three braids."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    tori = available_tori(fiber_sum_chain(n))
+    pool = named_corpus() + random_knot_braids(8, seed)
+    names = rng.sample(tori, rng.randint(1, min(3, len(tori))))
+    return n, {name: rng.sample(pool, rng.randint(1, 3)) for name in names}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20261017])
+def test_family_members_equal_knot_surgery_builds(seed):
+    # family_generate builds the nodes directly; knot_surgery checks each.
+    n, slots = seeded_slots(seed)
+    names = sorted(slots)
+    expected = []
+    for choice in itertools.product(*(slots[name] for name in names)):
+        member = fiber_sum_chain(n)
+        for name, braid in zip(names, choice):
+            member = knot_surgery(member, name, braid)
+        expected.append(member)
+    assert family_generate(n, slots) == expected
 
 
 def test_family_unknown_torus():
@@ -406,3 +443,115 @@ def test_family_report_structure():
         "distinct": True,
         "one_stab": True,
     }
+
+
+def reference_family_report(members):
+    """family_report computed member by member from scratch: every
+    member's numbers, series and normal form, with no sharing."""
+    entries, fingerprints = [], []
+    for i, member in enumerate(members):
+        cn = char_numbers(member)
+        report = factored_report(sw_factors(member), cn)
+        knots, node = {}, member
+        while isinstance(node, (KnotSurgery, NullLogTransform)):
+            if isinstance(node, KnotSurgery):
+                knots[node.torus] = str(node.braid)
+            node = node.child
+        fingerprints.append((report.count, report.rank, report.coeff_runs, report.a0))
+        entries.append({
+            "member_id": i,
+            "knots": dict(sorted(knots.items())),
+            "charnumbers": {
+                key: getattr(cn, key)
+                for key in ("chi", "sigma", "b2_plus", "b2_minus", "parity")
+            },
+            "fingerprint": {
+                "count": report.count,
+                "rank": report.rank,
+                "coeffs": list(report.coeff_multiset),
+                "a0": report.a0,
+            },
+            "sw_string": str(report.series),
+        })
+    pairwise = []
+    for i, j in itertools.combinations(range(len(members)), 2):
+        homotopy = char_numbers(members[i]) == char_numbers(members[j])
+        pairwise.append({
+            "i": i,
+            "j": j,
+            "homotopy": homotopy,
+            "distinct": fingerprints[i] != fingerprints[j],
+            "one_stab": homotopy
+            and stable_normal_form(members[i]) == stable_normal_form(members[j]),
+        })
+    return {"members": entries, "pairwise": pairwise}
+
+
+def _hand_built_members():
+    # Cores of two chain lengths, two equal chain(2) objects, a repeated
+    # surgery on one torus, and a vanishing sum under a surgery.
+    c2, c3 = fiber_sum_chain(2), fiber_sum_chain(3)
+    stabilized = connected_sum(fiber_sum_chain(2), block("S2twS2"))
+    return [
+        knot_surgery(c2, "T[1,2]", TREFOIL),
+        c3,
+        knot_surgery(c3, "T[2,2]", FIGURE_EIGHT),
+        fiber_sum_chain(2),
+        knot_surgery(knot_surgery(c2, "T[1,2]", TREFOIL), "T[1,2]", FIGURE_EIGHT),
+        knot_surgery(knot_surgery(c3, "T[3,3]", TREFOIL), "T[1,1]", TREFOIL),
+        knot_surgery(stabilized, "T[1,2]", TREFOIL),
+        block("K3"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        *(family_generate(*seeded_slots(seed)) for seed in (0, 7, 20261017)),
+        # One braid in two slots.
+        family_generate(2, {"T[1,1]": [TREFOIL, FIGURE_EIGHT], "T[2,2]": [FIGURE_EIGHT, TREFOIL]}),
+        _hand_built_members(),
+        [],
+    ],
+    ids=["seed-0", "seed-7", "seed-20261017", "braid-in-two-slots", "hand-built", "empty"],
+)
+def test_family_report_equals_member_by_member(members):
+    assert family_report(members) == reference_family_report(members)
+
+
+@pytest.mark.parametrize(
+    "logt",
+    [
+        null_log_transform(fiber_sum_chain(2), "T[1,2]"),
+        knot_surgery(null_log_transform(fiber_sum_chain(2), "T[1,2]"), "T[2,2]", TREFOIL),
+        null_log_transform(knot_surgery(fiber_sum_chain(2), "T[2,2]", TREFOIL), "T[1,2]"),
+    ],
+    ids=["bare", "under-a-surgery", "over-a-surgery"],
+)
+def test_family_report_refuses_log_transform_member(logt):
+    members = [knot_surgery(fiber_sum_chain(2), "T[1,2]", TREFOIL), logt]
+    with pytest.raises(UnsupportedNode) as expected:
+        reference_family_report(members)
+    with pytest.raises(UnsupportedNode) as got:
+        family_report(members)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value) == "no gluing formula for a null log transform at torus 'T[1,2]'"
+
+
+def test_family_report_computes_each_braid_once(monkeypatch):
+    # 20 x 20 members over 40 distinct braids; member by member, 800 calls.
+    calls = []
+
+    def counted(braid):
+        calls.append(braid)
+        return alexander(braid)
+
+    alexander = swseries.alexander
+    monkeypatch.setattr(swseries, "alexander", counted)
+    slots = {
+        "T[1,1]": [BraidWord(2, (1,) * (2 * i + 3)) for i in range(20)],
+        "T[1,2]": [BraidWord(2, (-1,) * (2 * i + 3)) for i in range(20)],
+    }
+    report = family_report(family_generate(2, slots))
+    assert (len(report["members"]), len(report["pairwise"])) == (400, 79_800)
+    assert Counter(calls) == Counter(slots["T[1,1]"] + slots["T[1,2]"])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from corpus import (
     CHAIN_KNOTS,
     FIGURE_EIGHT,
+    TABLE,
     TREFOIL,
     UNKNOT,
     named_corpus,
@@ -48,6 +49,7 @@ from fibersum import (
     alexander_oracle,
 )
 from fibersum.cli import sw_pieces
+from fibersum.manifolds import Block, FiberSum, KnotSurgery
 from fibersum.errors import (
     AsymmetricSeries,
     BadSignExponent,
@@ -317,6 +319,60 @@ def test_repeated_surgery_factors_multiply():
 
 def test_stabilized_factors_are_zero():
     assert sw_factors(connected_sum(fiber_sum_chain(2), block("S2twS2"))).is_zero()
+
+
+def hand_built_chain(n):
+    """n K3 copies glued T[a,3] to T[a+1,1] by FiberSum nodes, a knot from
+    CHAIN_KNOTS surgered into every T[a,2], a second into every third
+    T[a,2], and one into every fifth T[a,3] before it is glued; with the
+    factor each class gets from the gluing rules, from table values."""
+    fiber = LaurentPoly({2: 1, 0: -2, -2: 1})
+    factors = {}
+
+    def surgered(c, torus, braid):
+        delta = TABLE.get(braid, LaurentPoly({0: 1}))
+        poly = LaurentPoly({2 * e: c for e, c in delta.terms.items()})
+        factors[torus] = factors[torus] * poly if torus in factors else poly
+        return KnotSurgery(c, torus, braid)
+
+    chain = None
+    for a in range(1, n + 1):
+        copy = Block("K3", (f"T[{a},1]", f"T[{a},2]", f"T[{a},3]"))
+        copy = surgered(copy, f"T[{a},2]", CHAIN_KNOTS[a % len(CHAIN_KNOTS)])
+        if a % 3 == 0:
+            copy = surgered(copy, f"T[{a},2]", CHAIN_KNOTS[(a // 3) % len(CHAIN_KNOTS)])
+        if chain is not None:
+            factors[f"T[{a - 1},3]"] = factors.get(f"T[{a - 1},3]", 1) * fiber
+            copy = FiberSum(chain, f"T[{a - 1},3]", copy, f"T[{a},1]")
+        if a % 5 == 0 and a < n:
+            copy = surgered(copy, f"T[{a},3]", FIGURE_EIGHT)
+        chain = copy
+    return chain, factors
+
+
+def test_sw_factors_of_deep_chain_in_one_construction(monkeypatch):
+    # Factors on one class multiply, whichever side of the fiber sum they
+    # come from; one FactoredSeries is built per call, at every depth.
+    built = []
+    init = FactoredSeries.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    small, small_factors = hand_built_chain(10)
+    chain, factors = hand_built_chain(2000)
+    expected = FactoredSeries(factors)
+    assert len(expected.factors) > 2000
+    product = FactoredSeries.one()
+    for name, poly in small_factors.items():
+        product = product.times(name, poly)
+    monkeypatch.setattr(FactoredSeries, "__init__", counted)
+    assert sw_factors(small) == product
+    per_small_call = len(built)
+    built.clear()
+    assert sw_factors(chain) == expected
+    assert len(built) == per_small_call == 1
 
 
 def test_fingerprint_of_large_chain_needs_no_expansion(monkeypatch):
