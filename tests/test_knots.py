@@ -160,6 +160,68 @@ def test_burau_determinant_is_unit():
         assert abs(next(iter(det.terms.values()))) == 1
 
 
+def _generator_matrix(strands, letter):
+    """sigma_i is the identity but for column c = i - 1: -t on the
+    diagonal, t above, 1 below; sigma_i^-1 has -t^-1, 1 and t^-1 there."""
+    size = strands - 1
+    m = [[lp({0: 1}) if r == c else lp({}) for c in range(size)] for r in range(size)]
+    c = abs(letter) - 1
+    diag, above, below = (
+        (lp({1: -1}), lp({1: 1}), lp({0: 1}))
+        if letter > 0
+        else (lp({-1: -1}), lp({0: 1}), lp({-1: 1}))
+    )
+    m[c][c] = diag
+    if c > 0:
+        m[c - 1][c] = above
+    if c + 1 < size:
+        m[c + 1][c] = below
+    return m
+
+
+def _dense_product(a, b):
+    size = len(a)
+    return [
+        [sum((a[r][k] * b[k][c] for k in range(size)), lp({})) for c in range(size)]
+        for r in range(size)
+    ]
+
+
+def test_burau_equals_product_of_generator_matrices():
+    # Pins the convention entry by entry on three or more strands, where a
+    # mirrored or transposed one still satisfies the braid relations.
+    rng = random.Random(24)
+    for _ in range(120):
+        strands = rng.randint(2, 7)
+        word = tuple(
+            rng.choice([1, -1]) * rng.randint(1, strands - 1)
+            for _ in range(rng.randint(0, 40))
+        )
+        size = strands - 1
+        expected = [[lp({0: 1}) if r == c else lp({}) for c in range(size)] for r in range(size)]
+        for letter in word:
+            expected = _dense_product(expected, _generator_matrix(strands, letter))
+        assert burau_reduced(BraidWord(strands, word)) == expected
+
+
+def test_burau_products_per_letter(monkeypatch):
+    # Each letter rewrites one column: at most three products per row.
+    rng = random.Random(60)
+    braid = BraidWord(10, tuple(rng.choice([1, -1]) * rng.randint(1, 9) for _ in range(60)))
+    expected = burau_reduced(braid)
+    calls = []
+    multiply = LaurentPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
+    assert burau_reduced(braid) == expected
+    assert len(calls) <= 3 * (braid.strands - 1) * len(braid.word)
+
+
 # ------------------------------------------------------------- Alexander
 
 
