@@ -6,7 +6,7 @@ and the substitution map that carries knot polynomials into the group
 ring.
 """
 
-from fibersum import ClassVector, GroupRingElt, LaurentPoly, substitute_exp
+from fibersum import GroupRingElt, LaurentPoly, substitute_exp
 
 # Laurent polynomials are dictionaries {exponent: coefficient}.
 p = LaurentPoly({1: 1, 0: -1, -1: 1})  # t - 1 + t^-1
@@ -35,18 +35,17 @@ text = str(p * p)
 print("text form  =", text)
 print("parsed back:", LaurentPoly.parse(text) == p * p)
 
-# Group ring elements live over a named lattice of torus classes.
-t13 = ClassVector.from_items({"T[1,3]": 1})
-fiber = GroupRingElt.exp(t13) - GroupRingElt.exp(-t13)
+# Group ring elements live over a named lattice of torus classes; a class
+# is a {name: k} map, the integer combination sum(k * name).
+fiber = GroupRingElt.exp({"T[1,3]": 1}) - GroupRingElt.exp({"T[1,3]": -1})
 print("\nfiber factor         =", fiber)
 print("fiber factor squared =", fiber * fiber)
 
 # Substitution t^k -> exp(k * class) is a ring homomorphism; this is how
 # a knot polynomial becomes a multiplicative contribution to a series.
-twice = ClassVector.from_items({"T[1,2]": 2})
-print("p at exp(2*T[1,2])   =", substitute_exp(p, twice))
+print("p at exp(2*T[1,2])   =", substitute_exp(p, {"T[1,2]": 2}))
 
 # Elements over different lattices merge their symbol tables on demand.
-a = GroupRingElt.exp(ClassVector.from_items({"A": 1}))
-b = GroupRingElt.exp(ClassVector.from_items({"B": 2}))
+a = GroupRingElt.exp({"A": 1})
+b = GroupRingElt.exp({"B": 2})
 print("merged product       =", a * b, "over lattice", (a * b).lattice)

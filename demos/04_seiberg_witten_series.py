@@ -49,8 +49,10 @@ report = basic_classes(series, char_numbers(y))
 print("  a0 =", report.a0)
 print("  basic classes:", report.count, "| rank:", report.rank,
       "| coefficient runs (|coeff|, pairs):", list(report.coeff_runs))
-for cv, coeff in report.basic_pairs:
-    print(f"    {str(cv):<28} coefficient {coeff}")
+data = report.to_json()
+print("  one class per pair +-K, as a vector over", data["lattice"])
+for pair in data["pairs"]:
+    print(f"    {str(pair['class']):<14} coefficient {pair['coeff']}")
 print("  conjugation-symmetric:",
       check_conjugation_symmetry(series, char_numbers(y)))
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import NotDivisible
 
@@ -263,35 +262,6 @@ class LaurentPoly(_SparseRing):
         return cls(out)
 
 
-@dataclass(frozen=True)
-class ClassVector:
-    """An integer homology class written in a named free abelian lattice."""
-
-    lattice: tuple[str, ...]
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.lattice) != len(self.coords):
-            raise ValueError("coordinate length must match the symbol table")
-
-    @classmethod
-    def from_items(cls, items: dict[str, int]) -> "ClassVector":
-        names = tuple(sorted(items))
-        return cls(names, tuple(items[n] for n in names))
-
-    def scaled(self, k: int) -> "ClassVector":
-        return ClassVector(self.lattice, tuple(k * x for x in self.coords))
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def items(self):
-        return tuple(zip(self.lattice, self.coords))
-
-    def __str__(self):
-        return _monomial_text(self.lattice, self.coords) or "0"
-
-
 def _merge_lattices(a: tuple[str, ...], b: tuple[str, ...]):
     """Union of two symbol tables plus index maps into the union.
 
@@ -325,13 +295,6 @@ def _class_term(name: str, k: int) -> str:
         return ""
     body = name if abs(k) == 1 else f"{abs(k)}*{name}"
     return f" + {body}" if k > 0 else f" - {body}"
-
-
-def _monomial_text(lattice, vec) -> str:
-    """'A - 2*B' for the vector (1, -2) over ('A', 'B'); the empty string
-    for the zero vector."""
-    text = "".join(map(_class_term, lattice, vec))
-    return _first(text) if text else ""
 
 
 class GroupRingElt(_SparseRing):
@@ -383,9 +346,9 @@ class GroupRingElt(_SparseRing):
         return cls((), {(): c})
 
     @classmethod
-    def exp(cls, cv: ClassVector, coeff: int = 1) -> "GroupRingElt":
-        """coeff * exp(cv)."""
-        return cls(cv.lattice, {cv.coords: coeff})
+    def exp(cls, classes: dict[str, int], coeff: int = 1) -> "GroupRingElt":
+        """coeff * exp(K), K the class sum(k * name) over classes' {name: k}."""
+        return cls(tuple(classes), {tuple(classes.values()): coeff})
 
     # ---------------------------------------------------------- queries
 
@@ -609,16 +572,19 @@ def _signed_terms(text: str, term: re.Pattern):
             return out
 
 
-def substitute_exp(p: LaurentPoly, cv: ClassVector) -> GroupRingElt:
-    """Map a Laurent polynomial into the group ring by t^k -> exp(k * cv).
+def substitute_exp(p: LaurentPoly, classes: dict[str, int]) -> GroupRingElt:
+    """Map a Laurent polynomial into the group ring by t^k -> exp(k * K),
+    K the class sum(k * name) over classes' {name: k}.
 
     This is a ring homomorphism Z[t, t^-1] -> Z[lattice]; callers use it
-    with cv = twice a torus class.
+    with K twice a torus class.  Terms that land on one vector add up, so
+    t + 1 maps to the constant 2 when K is 0.
     """
-    out = GroupRingElt.zero()
+    terms: dict[tuple[int, ...], int] = {}
     for e, c in p.terms.items():
-        out = out + GroupRingElt.exp(cv.scaled(e), c)
-    return out
+        vec = tuple(e * k for k in classes.values())
+        terms[vec] = terms.get(vec, 0) + c
+    return GroupRingElt(tuple(classes), terms)
 
 
 class FactoredSeries:

@@ -53,7 +53,7 @@ from .manifolds import (
     char_numbers,
     fold,
 )
-from .ring import ClassVector, FactoredSeries, GroupRingElt, LaurentPoly
+from .ring import FactoredSeries, GroupRingElt, LaurentPoly
 
 # t - t^-1 at t = exp(T): the fiber-sum factor before squaring.
 FIBER_POLY = LaurentPoly({1: 1, -1: -1})
@@ -241,7 +241,7 @@ class SWReport:
     coeff_runs is the multiset of |coefficient| over the pairs, as sorted
     (|coefficient|, number of pairs) runs, so equal multisets give equal
     runs; coeff_multiset expands it on request.  The pairs themselves are
-    read off the series on demand.
+    read off the series by to_json().
 
     to_json() is the library's dict view, one dict per pair.  The ``sw``
     command does not build it: cli.sw_pieces writes the same bytes
@@ -258,14 +258,6 @@ class SWReport:
     def coeff_multiset(self) -> tuple[int, ...]:
         """|coefficient| once per pair, sorted: the expanded coeff_runs."""
         return _expand_runs(self.coeff_runs)
-
-    @property
-    def basic_pairs(self) -> tuple[tuple[ClassVector, int], ...]:
-        """One ClassVector per pair +-K (the lexicographically positive
-        one) with its coefficient, in ascending lexicographic order."""
-        lattice = self.series.lattice
-        positives = _positive_half(self.series, self.count, self.a0)
-        return tuple((ClassVector(lattice, vec), c) for vec, c in positives)
 
     def to_json(self) -> dict:
         return {

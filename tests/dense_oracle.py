@@ -18,7 +18,6 @@ import json
 
 from fibersum import (
     Block,
-    ClassVector,
     ConnectedSum,
     FiberSum,
     GroupRingElt,
@@ -39,12 +38,10 @@ def dense_sw_series(c) -> GroupRingElt:
             return GroupRingElt.one()
         raise UnsupportedNode(f"no SW value for {c.kind}")
     if isinstance(c, FiberSum):
-        plus = ClassVector((c.left_torus,), (1,))
-        factor = GroupRingElt.exp(plus) - GroupRingElt.exp(-plus)
+        factor = GroupRingElt.exp({c.left_torus: 1}) - GroupRingElt.exp({c.left_torus: -1})
         return dense_sw_series(c.left) * dense_sw_series(c.right) * factor * factor
     if isinstance(c, KnotSurgery):
-        twice = ClassVector((c.torus,), (2,))
-        return dense_sw_series(c.child) * substitute_exp(alexander(c.braid), twice)
+        return dense_sw_series(c.child) * substitute_exp(alexander(c.braid), {c.torus: 2})
     if isinstance(c, ConnectedSum):
         if char_numbers(c.left).b2_plus > 0 and char_numbers(c.right).b2_plus > 0:
             return GroupRingElt.zero()

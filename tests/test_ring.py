@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import dense_text
-from fibersum import Block, ClassVector, GroupRingElt, LaurentPoly, substitute_exp
+from fibersum import Block, GroupRingElt, LaurentPoly, substitute_exp
 from fibersum.cli import _pairs_text
 from fibersum.errors import BadParameter, NotDivisible
 from fibersum.ring import FactoredSeries
@@ -24,7 +24,7 @@ def lp(terms):
 
 
 def exp_of(**classes):
-    return GroupRingElt.exp(ClassVector.from_items(classes))
+    return GroupRingElt.exp(classes)
 
 
 # ------------------------------------------------------------------ add/mul
@@ -187,19 +187,33 @@ def test_gr_conjugate():
 
 
 def test_substitute_constant():
-    c = ClassVector.from_items({"T": 2})
+    c = {"T": 2}
     assert substitute_exp(ONE, c) == GroupRingElt.one()
 
 
 def test_substitute_trefoil():
-    c = ClassVector.from_items({"T": 2})
+    c = {"T": 2}
     p = lp({1: 1, 0: -1, -1: 1})
     assert substitute_exp(p, c) == exp_of(T=2) - 1 + exp_of(T=-2)
 
 
 def test_substitute_monomial():
-    c = ClassVector.from_items({"T": 2})
+    c = {"T": 2}
     assert substitute_exp(lp({2: 1}), c) == exp_of(T=4)
+
+
+def test_substitute_sums_terms_on_one_vector():
+    # At the zero class every power of t lands on the origin.
+    p = lp({1: 1, 0: 1})
+    assert substitute_exp(p, {}) == GroupRingElt.constant(2)
+    assert substitute_exp(p, {"A": 0}) == GroupRingElt.constant(2)
+    assert substitute_exp(lp({1: 1, -1: -1}), {"A": 0}) == GroupRingElt.zero()
+
+
+def test_exp_drops_unused_names():
+    assert GroupRingElt.exp({"B": 2, "A": 0, "C": -1}, 3) == 3 * exp_of(B=2, C=-1)
+    assert GroupRingElt.exp({"B": 2, "A": 0, "C": -1}).lattice == ("B", "C")
+    assert GroupRingElt.exp({}) == GroupRingElt.one()
 
 
 # ------------------------------------------------------------------ text forms
@@ -411,7 +425,7 @@ def test_conjugate_is_involution_and_homomorphism():
 
 def test_substitution_is_multiplicative():
     rng = random.Random(105)
-    c = ClassVector.from_items({"T[1,2]": 2})
+    c = {"T[1,2]": 2}
     for _ in range(150):
         p = _random_poly(rng)
         q = _random_poly(rng)
