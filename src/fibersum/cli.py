@@ -452,8 +452,17 @@ def _normal_form_doc(cp2: int, cp2bar: int) -> str:
 # ------------------------------------------------------------------ driver
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are DocumentErrors, so that they
+    end the run like every other error: exit 2 and one stderr line.  Its
+    subparsers are of this class too."""
+
+    def error(self, message: str):
+        raise DocumentError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fibersum",
         description="Exact invariants of fiber-sum constructions of 4-manifolds.",
     )
@@ -490,9 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

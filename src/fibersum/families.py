@@ -233,10 +233,15 @@ def family_report(members: list[Construction]) -> dict:
         if id(core) not in cores:
             cores[id(core)] = (char_numbers(core), sw_factors(core))
         cn, series = cores[id(core)]
+        # Every surgery on a torus, innermost first, joined by " # ": two
+        # surgeries multiply by the polynomial of the sum of their knots.
+        knots: dict[str, str] = {}
         for surgery in reversed(spine):
             if surgery.braid not in polys:
                 polys[surgery.braid] = _surgery_poly(surgery.braid)
             series = series.times(surgery.torus, polys[surgery.braid])
+            braid, torus = str(surgery.braid), surgery.torus
+            knots[torus] = f"{knots[torus]} # {braid}" if torus in knots else braid
         require_term_budget(series)
         report = factored_report(series, cn)
         fp = _fingerprint_of(report)
@@ -246,8 +251,7 @@ def family_report(members: list[Construction]) -> dict:
         entries.append(
             {
                 "member_id": i,
-                # The innermost surgery on a torus names it.
-                "knots": dict(sorted({s.torus: str(s.braid) for s in spine}.items())),
+                "knots": dict(sorted(knots.items())),
                 "charnumbers": {
                     "chi": cn.chi,
                     "sigma": cn.sigma,

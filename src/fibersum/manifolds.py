@@ -56,6 +56,8 @@ class Block:
     tori: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if self.kind not in BLOCK_NAMES:
+            raise UnknownBlock(f"unknown block {self.kind!r}; expected one of {BLOCK_NAMES}")
         for i, name in enumerate(self.tori):
             if not NAME.fullmatch(name):
                 raise BadParameter(
@@ -125,8 +127,6 @@ def block(name: str, copy: int | None = None) -> Block:
     ``copy`` labels a K3's tori T[copy,1..3] instead of T1..T3 so that
     multi-copy constructions get stable, distinct names.
     """
-    if name not in BLOCK_NAMES:
-        raise UnknownBlock(f"unknown block {name!r}; expected one of {BLOCK_NAMES}")
     if name != "K3":
         return Block(name)
     if copy is None:

@@ -383,6 +383,45 @@ def test_big_tree_refusal_is_one_short_line(tmp_path, capsys, command, doc, err)
     assert len(captured.err.encode()) <= 200
 
 
+# ------------------------------------------------------------ argument errors
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # A word that starts with an inverse letter reads as an option;
+        # --word=-1,2,-1,2 passes it.
+        ["alexander", "--strands", "3", "--word", "-1,2,-1,2"],
+        ["alexander", "--strands", "x"],
+        ["sw"],
+        [],
+        ["bogus"],
+    ],
+    ids=["word-as-option", "strands-not-int", "sw-no-file", "no-command", "unknown-command"],
+)
+def test_argument_errors_are_one_line(capsys, argv):
+    # The shape only: argparse's wording differs across Python versions.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_inverse_first_word_passed_with_equals(capsys):
+    assert main(["alexander", "--strands", "3", "--word=-1,2,-1,2"]) == 0
+    assert capsys.readouterr().out == "-t + 3 - t^-1\n"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["alexander", "-h"])
+    assert info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: fibersum alexander ")
+    assert captured.err == ""
+
+
 # ------------------------------------------------------------------ alexander
 
 

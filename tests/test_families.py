@@ -445,6 +445,19 @@ def test_family_report_structure():
     }
 
 
+def test_family_report_lists_every_surgery_on_a_torus():
+    # Two surgeries on one torus multiply the series by the polynomial of
+    # the sum of their knots; both braids are listed, innermost first.
+    inner = knot_surgery(fiber_sum_chain(2), "T[1,2]", TREFOIL)
+    member = knot_surgery(inner, "T[1,2]", FIGURE_EIGHT)
+    entry = family_report([member, inner])["members"]
+    assert entry[0]["knots"] == {"T[1,2]": "2; 1,1,1 # 3; 1,-2,1,-2"}
+    assert entry[1]["knots"] == {"T[1,2]": "2; 1,1,1"}
+    assert sw_factors(member).factors["T[1,2]"] == (
+        sw_factors(inner).factors["T[1,2]"] * swseries._surgery_poly(FIGURE_EIGHT)
+    )
+
+
 def reference_family_report(members):
     """family_report computed member by member from scratch: every
     member's numbers, series and normal form, with no sharing."""
@@ -454,8 +467,9 @@ def reference_family_report(members):
         report = factored_report(sw_factors(member), cn)
         knots, node = {}, member
         while isinstance(node, (KnotSurgery, NullLogTransform)):
-            if isinstance(node, KnotSurgery):
-                knots[node.torus] = str(node.braid)
+            if isinstance(node, KnotSurgery):  # outermost first: prepend
+                braid, torus = str(node.braid), node.torus
+                knots[torus] = f"{braid} # {knots[torus]}" if torus in knots else braid
             node = node.child
         fingerprints.append((report.count, report.rank, report.coeff_runs, report.a0))
         entries.append({

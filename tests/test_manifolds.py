@@ -86,6 +86,18 @@ def test_unknown_block():
         block("S4")
 
 
+def test_block_refuses_unknown_kind():
+    # The same refusal as block(), ahead of the torus-name checks.
+    expected = "unknown block 'K4'; expected one of " + str(BLOCK_NAMES)
+    for tori in ((), ("T1", "T2", "T3"), ("A B", "A B")):
+        with pytest.raises(UnknownBlock) as info:
+            Block("K4", tori)
+        assert str(info.value) == expected
+    # A known kind takes any number of tori.
+    assert Block("K3").tori == ()
+    assert Block("CP2", ("A",)).tori == ("A",)
+
+
 # --------------------------------------------------------------- connected sum
 
 
