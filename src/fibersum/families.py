@@ -14,13 +14,10 @@ may be compared.  The multiset is kept as the (value, pairs) runs that
 the factors give, so comparing never expands a series.  Equal
 fingerprints certify nothing, hence the verdict "inconclusive".
 
-The normal form encodes proved diffeomorphisms as rewrites and nothing
-else: knot surgeries and null log transforms are erased (each is undone
-by the single stabilization), a chain of n K3 blocks becomes the
-connected sum of 4n CP2 and 20n CP2bar blocks, and each S2twS2 splits as
-CP2 # CP2bar.  Rewrites keep b2+-, which fix the canonical connected
-sum, so the normal form is the pair (cp2, cp2bar) read off char_numbers;
-no tree is built.  Trees outside that grammar are rejected, not guessed.
+The normal form is the type of T # S2twS2: proved dissolutions keep
+b2+-, so it is (b2+ + 1, b2- + 1) read off char_numbers, and no tree is
+built.  A tree with anything but K3 blocks below a fiber sum is outside
+that grammar and is rejected, not guessed.
 """
 
 from __future__ import annotations
@@ -37,10 +34,10 @@ from .manifolds import (
     Construction,
     FiberSum,
     KnotSurgery,
-    NullLogTransform,
     available_tori,
     char_numbers,
     fiber_sum_chain,
+    fold,
 )
 from .swseries import (
     SWReport,
@@ -140,64 +137,58 @@ def distinguish(a: Construction, b: Construction) -> str:
 
 
 def stable_normal_form(c: Construction) -> tuple[int, int]:
-    """The diffeomorphism type after one stabilization, as the numbers
-    (cp2, cp2bar) of CP2 and CP2bar blocks in its canonical connected sum.
+    """The diffeomorphism type of c # S2twS2, as the numbers (cp2, cp2bar)
+    of CP2 and CP2bar blocks in the connected sum it dissolves into:
+    (b2+(c) + 1, b2-(c) + 1), read off char_numbers.
 
-    Knot surgeries and null log transforms are erased wherever they sit
-    (one stabilization undoes each: any knot unknots through +-1
-    surgeries, and the log transform is undone directly), and connected
-    sums are flattened into summands.  Supported trees:
+    A tree is admitted when nothing but K3 blocks sits below a fiber sum.
+    It is then a connected sum of K3 fiber-sum trees (chains) and rational
+    blocks, with knot surgeries and null log transforms on any node.  Each
+    shape dissolves in c # S2twS2 by this chain of theorems:
 
-    * a pure fiber-sum tree of n K3 blocks: one stabilization dissolves it
-      into the connected sum of 4n CP2 and 20n CP2bar blocks;
-    * such a tree already summed with m >= 1 copies of S2twS2: the extra
-      copies beyond the first merge in, giving 4n+m-1 and 20n+m-1;
-    * a connected sum of CP2 / CP2bar / S2twS2 blocks only: already a
-      rational chain (each S2twS2 splits as CP2 # CP2bar); these are
-      fixed points, making the normal form idempotent.
+    * a rational sum of CP2, CP2bar, S2twS2 and S2xS2 blocks: S2twS2 is
+      CP2 # CP2bar, so with the added one the sum is odd, and for odd M,
+      M # S2xS2 is M # CP2 # CP2bar (Gompf-Stipsicz, GSM 20);
+    * a knot surgery or null log transform anywhere: one S2twS2 summand
+      undoes it, and stays to undo the next (the paper's main theorem);
+    * a bare chain of n K3 blocks: elliptic surfaces dissolve after one
+      CP2, so beside S2twS2 it is #4n CP2 # 20n CP2bar (Mandelbaum,
+      Bull. AMS 2, 1980; Moishezon, LNM 603, 1977);
+    * several chains: the rational sum the first leaves is odd and holds
+      a CP2 # CP2bar, which dissolves the next, and so on in turn;
+    * CP2, CP2bar and S2xS2 beside chains: once the chains dissolve the
+      sum is odd and rational, which the first case reads.
 
-    The walk only checks that grammar: anything else raises UnsupportedNode
-    naming what broke it, since the rewrite encodes proved diffeomorphisms
-    only.  These keep b2+-, which are (p, q) for #p CP2 # q CP2bar, so the
-    counts are char_numbers' b2+-, plus one each where the stabilization
-    is added here: for a K3 chain with no S2twS2 summand.
+    A sum #p CP2 # q CP2bar has b2+- = (p, q), and the rewrites keep b2+-.
+    Anything else below a fiber sum raises UnsupportedNode naming it,
+    since the rewrite encodes proved diffeomorphisms only.
     """
-    chains = 0
-    kinds: set[str] = set()  # kinds of the rational summands
-    stack = [(c, False)]  # (node, inside a fiber sum)
-    while stack:
-        node, in_fiber = stack.pop()
-        if isinstance(node, (KnotSurgery, NullLogTransform)):
-            stack.append((node.child, in_fiber))
-        elif isinstance(node, FiberSum):
-            chains += not in_fiber
-            stack += [(node.left, True), (node.right, True)]
-        elif isinstance(node, Block) and node.kind == "K3":
-            chains += not in_fiber
-        elif in_fiber:
-            kind = f"{node.kind} block" if isinstance(node, Block) else "connected sum"
-            raise _outside(f"a {kind} inside a fiber sum")
-        elif isinstance(node, ConnectedSum):
-            stack += [(node.left, False), (node.right, False)]
-        else:
-            kinds.add(node.kind)
-    if chains > 1:
-        raise _outside(f"a sum of {chains} K3 chains")
-    stray = sorted(kinds - {"S2twS2"} - (set() if chains else {"CP2", "CP2bar"}))
-    if stray:
-        raise _outside(f"{', '.join(stray)} with {'a' if chains else 'no'} K3 chain")
+    fold(c, _admission)
     cn = char_numbers(c)
-    s = int(chains == 1 and "S2twS2" not in kinds)
-    return cn.b2_plus + s, cn.b2_minus + s
+    return cn.b2_plus + 1, cn.b2_minus + 1
 
 
-def _outside(what: str) -> UnsupportedNode:
-    return UnsupportedNode(f"outside the stabilization grammar: {what}")
+def _admission(node: Construction, kids: list) -> str | None:
+    """The admission check's fold visit: None, or what in this subtree may
+    not go into a fiber sum, which the fiber sum above it raises."""
+    if isinstance(node, Block):
+        return None if node.kind == "K3" else f"a {node.kind} block"
+    if isinstance(node, ConnectedSum):
+        return "a connected sum"
+    if isinstance(node, FiberSum):
+        for what in kids:
+            if what is not None:
+                raise UnsupportedNode(
+                    f"outside the stabilization grammar: {what} inside a fiber sum"
+                )
+        return None
+    return kids[0]  # a knot surgery or log transform is fit as its child is
 
 
 def one_stabilization_equivalent(a: Construction, b: Construction) -> bool:
-    """True iff both normal forms coincide and the inputs are honestly
-    homotopy equivalent (the sanity gate)."""
+    """False for trees that are not homotopy equivalent, unchecked.
+    Otherwise their equal b2+- give equal normal forms, so True once both
+    are admitted; one that is not raises UnsupportedNode."""
     if not homotopy_equivalent(a, b):
         return False
     return stable_normal_form(a) == stable_normal_form(b)
@@ -212,12 +203,13 @@ def family_report(members: list[Construction]) -> dict:
 
     A member is knot surgeries over a core, and family_generate's members
     share one core object.  Each distinct core's characteristic numbers,
-    series and normal form (keyed by identity), and each distinct braid's
+    series and grammar check (keyed by identity), and each distinct braid's
     Delta(t^2), are computed once per call.  A member's series is its
     core's times its surgeries' factors, innermost first: FactoredSeries
     is canonical, so that is sw_factors(member), refusals in the same
-    order.  A normal form is computed only for members in a homotopy
-    equivalent pair, as in one_stabilization_equivalent.  Each entry
+    order.  A core is checked only when its member is in a homotopy
+    equivalent pair, as in one_stabilization_equivalent: equal
+    char_numbers then give equal normal forms.  Each entry
     writes its series out, so a member over the term budget is refused
     (TooManyTerms) before the next member is read.
     """
@@ -268,25 +260,23 @@ def family_report(members: list[Construction]) -> dict:
                 "sw_string": str(report.series),
             }
         )
-    normal_forms: dict[int, tuple[int, int]] = {}  # id(core) -> normal form
-
-    def normal_form(i: int) -> tuple[int, int]:
-        core = member_cores[i]
-        if id(core) not in normal_forms:
-            normal_forms[id(core)] = stable_normal_form(core)
-        return normal_forms[id(core)]
-
+    admitted: set[int] = set()  # id(core) of each core that passed the grammar check
     pairwise = []
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             homotopy = numbers[i] == numbers[j]
+            if homotopy:  # one_stab then holds once both cores are admitted
+                for core in (member_cores[i], member_cores[j]):
+                    if id(core) not in admitted:
+                        fold(core, _admission)
+                        admitted.add(id(core))
             pairwise.append(
                 {
                     "i": i,
                     "j": j,
                     "homotopy": homotopy,
                     "distinct": fingerprints[i] != fingerprints[j],
-                    "one_stab": homotopy and normal_form(i) == normal_form(j),
+                    "one_stab": homotopy,
                 }
             )
     return {"members": entries, "pairwise": pairwise}

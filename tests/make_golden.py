@@ -11,7 +11,8 @@ tests/test_golden.py replays every case and compares all three.
 The cases are the corpus trees and the refused trees, seeded chains
 (seeds 0 and 7, n <= 5), every subcommand with and without --json,
 compare on consecutive pairs, seeded family slot files and alexander
-braids, and one document for each documented refusal and limit.  Only
+braids, one document for each documented refusal and limit, and sums of
+K3 chains and rational blocks for stabilize and compare.  Only
 cases whose bytes are the same on Python 3.10 to 3.13 are kept, so none
 depends on argparse's messages, on the depth at which the JSON decoder
 refuses nesting, or on the interpreter's integer digit limit.  A change
@@ -277,21 +278,37 @@ REFUSALS = [
     ("vanishing sum", "sw", _doc_text({"csum": [K3, {"block": "S2twS2"}]})),
     ("over term budget", "sw", _doc_text({"XN": 14})),
     ("big log transform", "sw", _doc_text({"logt": {"on": {"XN": 40}, "torus": "T[1,2]"}})),
-    ("two chains", "stabilize", _doc_text({"csum": [{"XN": 30}, {"XN": 3}]})),
-    ("CP2bar with a chain", "stabilize", _doc_text({"csum": [{"XN": 2}, {"block": "CP2bar"}]})),
-    ("S2xS2 alone", "stabilize", _doc_text({"csum": [{"block": "S2xS2"}, {"block": "CP2"}]})),
     ("sum inside fiber sum", "stabilize", _doc_text(
         {"fsum": {"left": {"csum": [K3, {"block": "CP2"}]}, "lt": "T1", "right": K3, "rt": "T2"}})),
     ("deep chain", "stabilize", _doc_text({"XN": 48})),
     ("big chains", "compare", _doc_text({"XN": 19})),
 ]
 
+# (name, command, document text) for sums of K3 chains and rational blocks,
+# which one stabilization dissolves: stabilize reads each as T # S2twS2.
+CHAIN_SUMS = [
+    ("two chains", "stabilize", _doc_text({"csum": [{"XN": 30}, {"XN": 3}]})),
+    ("CP2bar with a chain", "stabilize", _doc_text({"csum": [{"XN": 2}, {"block": "CP2bar"}]})),
+    ("S2xS2 alone", "stabilize", _doc_text({"csum": [{"block": "S2xS2"}, {"block": "CP2"}]})),
+    ("two chains and S2twS2", "stabilize", _doc_text(
+        {"csum": [{"csum": [{"XN": 1}, {"XN": 1}]}, {"block": "S2twS2"}]})),
+    ("CP2 with a chain", "stabilize", _doc_text({"csum": [{"XN": 2}, {"block": "CP2"}]})),
+    ("CP2bar with a chain and S2twS2", "stabilize", _doc_text(
+        {"csum": [{"csum": [{"XN": 1}, {"block": "CP2bar"}]}, {"block": "S2twS2"}]})),
+]
 
-def _refusal_cases() -> list:
+
+def _document_cases() -> list:
     cases = []
-    for name, command, text in REFUSALS:
+    for name, command, text in REFUSALS + CHAIN_SUMS:
         argv = [command, "c.json"] + (["c.json"] if command == "compare" else [])
         cases += _with_and_without_json(f"{command} document: {name}", argv, {"c.json": text})
+    # A chain beside CP2 against a surgered chain beside CP2: one stable type.
+    files = {"a.json": _doc_text({"csum": [{"XN": 2}, {"block": "CP2"}]}),
+             "b.json": _doc_text({"csum": [_y([TREFOIL, UNKNOT], n=2), {"block": "CP2"}]})}
+    cases += _with_and_without_json(
+        "compare document: CP2 with a chain | CP2 with a surgered chain",
+        ["compare", "a.json", "b.json"], files)
     cases.append({"name": "sw missing file", "argv": ["sw", "missing.json"], "files": {}})
     cases.append({"name": "compare missing second file", "argv": ["compare", "c.json", "no\nfile.json"],
                   "files": {"c.json": _doc_text({"XN": 1})}})
@@ -299,7 +316,7 @@ def _refusal_cases() -> list:
 
 
 def cases() -> list:
-    out = [*_tree_cases(), *_alexander_cases(), *_family_cases(), *_refusal_cases()]
+    out = [*_tree_cases(), *_alexander_cases(), *_family_cases(), *_document_cases()]
     names = [case["name"] for case in out]
     assert len(set(names)) == len(names), "case names repeat"
     return out

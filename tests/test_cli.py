@@ -357,8 +357,15 @@ def test_sw_refused_trees_exit_3(tmp_path, capsys, name):
     [
         (
             "stabilize",
-            {"csum": [{"XN": 300}, {"XN": 300}]},
-            "outside the stabilization grammar: a sum of 2 K3 chains",
+            {
+                "fsum": {
+                    "left": {"csum": [{"XN": 300}, {"block": "CP2"}]},
+                    "lt": "T[1,1]",
+                    "right": {"block": "K3"},
+                    "rt": "T1",
+                }
+            },
+            "outside the stabilization grammar: a connected sum inside a fiber sum",
         ),
         (
             "sw",
@@ -372,7 +379,7 @@ def test_sw_refused_trees_exit_3(tmp_path, capsys, name):
             "(a blow-up formula would be needed)",
         ),
     ],
-    ids=["stabilize-two-chains", "sw-log-transform", "sw-blowup-sum"],
+    ids=["stabilize-sum-in-fiber-sum", "sw-log-transform", "sw-blowup-sum"],
 )
 def test_big_tree_refusal_is_one_short_line(tmp_path, capsys, command, doc, err):
     # A refusal names the refused node, never the whole tree.
@@ -381,6 +388,13 @@ def test_big_tree_refusal_is_one_short_line(tmp_path, capsys, command, doc, err)
     assert captured.out == ""
     assert captured.err == f"error: {err}\n"
     assert len(captured.err.encode()) <= 200
+
+
+def test_big_sum_of_chains_stabilizes(tmp_path, capsys):
+    # Two chains of 300 K3 blocks dissolve in turn beside the added S2twS2.
+    doc = {"csum": [{"XN": 300}, {"XN": 300}]}
+    assert main(["stabilize", write(tmp_path, "big.json", doc)]) == 0
+    assert capsys.readouterr().out == "#2399 CP2 # 11999 CP2bar\n"
 
 
 # ------------------------------------------------------------ argument errors

@@ -195,28 +195,37 @@ def test_normal_form_erases_log_transforms():
 
 
 def test_normal_form_idempotent():
+    # The normal form reads only b2+-: T and the rational sum with T's
+    # b2+- read the same one.
     for c in (fiber_sum_chain(1), surgered_chain(1, [TREFOIL], UNKNOT, UNKNOT)):
-        once = stable_normal_form(c)
-        assert stable_normal_form(rational_chain(*once)) == once
+        cn = char_numbers(c)
+        assert stable_normal_form(rational_chain(cn.b2_plus, cn.b2_minus)) == stable_normal_form(c)
 
 
 def test_normal_form_of_stabilized_chain():
+    # The tree's own S2twS2 is not absorbed: the normal form adds one more.
     stabilized = connected_sum(fiber_sum_chain(1), block("S2twS2"))
-    assert stable_normal_form(stabilized) == (4, 20)
+    assert stable_normal_form(stabilized) == (5, 21)
 
 
 def test_normal_form_splits_twisted_blocks():
-    assert stable_normal_form(block("S2twS2")) == (1, 1)
+    assert stable_normal_form(block("S2twS2")) == (2, 2)
 
 
 def test_normal_form_rejects_unknown_grammar():
-    # Each refusal says what broke the grammar, not the whole tree.
+    # Sums of chains and rational blocks are admitted and read as
+    # T # S2twS2.  Only what sits in a fiber sum is refused, and the
+    # refusal says what broke the grammar, not the whole tree.
     summed = connected_sum(block("K3"), block("CP2"))
+    admitted = [
+        (connected_sum(fiber_sum_chain(1), fiber_sum_chain(1)), (7, 39)),
+        (summed, (5, 20)),
+        (connected_sum(summed, block("CP2bar")), (5, 21)),
+        (block("S2xS2"), (2, 2)),
+    ]
+    for tree, counts in admitted:
+        assert stable_normal_form(tree) == counts
     cases = [
-        (connected_sum(fiber_sum_chain(1), fiber_sum_chain(1)), "a sum of 2 K3 chains"),
-        (summed, "CP2 with a K3 chain"),
-        (connected_sum(summed, block("CP2bar")), "CP2, CP2bar with a K3 chain"),
-        (block("S2xS2"), "S2xS2 with no K3 chain"),
         (fiber_sum(summed, "T1", block("K3"), "T1"), "a connected sum inside a fiber sum"),
         # Only a hand-built node can put a rational block in a fiber sum.
         (FiberSum(block("CP2"), "A", block("K3"), "T1"), "a CP2 block inside a fiber sum"),
@@ -272,50 +281,65 @@ def _summed(draw, parts):
     return parts[0]
 
 
+RATIONAL = ("CP2", "CP2bar", "S2xS2", "S2twS2")
+RATIONAL_B2 = {"CP2": (1, 0), "CP2bar": (0, 1), "S2xS2": (1, 1), "S2twS2": (1, 1)}
+
+
+def _stabilized_counts(chain_sizes, kinds):
+    """(b2+, b2-) of T # S2twS2 for T the sum of K3 chains of the given
+    sizes and rational blocks of the given kinds."""
+    cp2 = sum(4 * k - 1 for k in chain_sizes) + sum(RATIONAL_B2[kind][0] for kind in kinds)
+    cp2bar = sum(20 * k - 1 for k in chain_sizes) + sum(RATIONAL_B2[kind][1] for kind in kinds)
+    return cp2 + 1, cp2bar + 1
+
+
 @st.composite
-def stabilized_k3_trees(draw):
-    n = draw(st.integers(1, 5))
-    m = draw(st.integers(0, 4))
-    tree = _summed(draw, [_k3_tree(draw, n)] + [block("S2twS2")] * m)
-    return tree, (4 * n + max(m - 1, 0), 20 * n + max(m - 1, 0))
+def chain_sums(draw):
+    """1-3 K3 trees of 1-5 blocks beside up to four rational blocks of any
+    kind, summed in random order and nesting."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    kinds = draw(st.lists(st.sampled_from(RATIONAL), max_size=4))
+    tree = _summed(draw, [_k3_tree(draw, n) for n in sizes] + [block(kind) for kind in kinds])
+    return tree, _stabilized_counts(sizes, kinds)
 
 
 @st.composite
 def rational_sums(draw):
-    kinds = draw(st.lists(st.sampled_from(["CP2", "CP2bar", "S2twS2"]), min_size=1, max_size=8))
-    twisted = kinds.count("S2twS2")
-    tree = _summed(draw, [block(kind) for kind in kinds])
-    return tree, (kinds.count("CP2") + twisted, kinds.count("CP2bar") + twisted)
+    kinds = draw(st.lists(st.sampled_from(RATIONAL), min_size=1, max_size=8))
+    return _summed(draw, [block(kind) for kind in kinds]), _stabilized_counts([], kinds)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(stabilized_k3_trees(), rational_sums()))
+@given(st.one_of(chain_sums(), rational_sums()))
 def test_property_normal_form_counts(case):
     tree, expected = case
     assert stable_normal_form(tree) == expected
-    assert stable_normal_form(rational_chain(*expected)) == expected
+    # The rational sum with the tree's b2+- reads the same normal form.
+    assert stable_normal_form(rational_chain(expected[0] - 1, expected[1] - 1)) == expected
 
 
 def counted_normal_form(c):
-    """The normal form by counting blocks: a chain of k K3 blocks beside
-    m S2twS2 summands gives 4k + e and 20k + e with e = max(m - 1, 0); a
-    rational sum of CP2, CP2bar and m S2twS2 blocks gives cp2 + m and
-    cp2bar + m."""
+    """The normal form by counting blocks, without char_numbers: a chain of
+    k K3 blocks adds (4k - 1, 20k - 1), CP2 adds (1, 0), CP2bar (0, 1),
+    S2xS2 and S2twS2 (1, 1) each, and the added S2twS2 one to each count."""
     counts = Counter()
-    stack = [c]
+    stack = [(c, False)]  # (node, inside a fiber sum)
     while stack:
-        node = stack.pop()
-        if isinstance(node, Block):
-            counts[node.kind] += 1
-        elif isinstance(node, (KnotSurgery, NullLogTransform)):
-            stack.append(node.child)
+        node, in_fiber = stack.pop()
+        if isinstance(node, (KnotSurgery, NullLogTransform)):
+            stack.append((node.child, in_fiber))
+        elif isinstance(node, ConnectedSum):
+            stack += [(node.left, False), (node.right, False)]
         else:
-            stack += [node.left, node.right]
-    k, twisted = counts["K3"], counts["S2twS2"]
-    if k:
-        extra = max(twisted - 1, 0)
-        return 4 * k + extra, 20 * k + extra
-    return counts["CP2"] + twisted, counts["CP2bar"] + twisted
+            if isinstance(node, FiberSum):
+                stack += [(node.left, True), (node.right, True)]
+            else:
+                counts[node.kind] += 1
+            if not in_fiber and (isinstance(node, FiberSum) or node.kind == "K3"):
+                counts["chains"] += 1
+    k, chains, cp2 = counts["K3"], counts["chains"], counts["CP2"]
+    both = counts["S2xS2"] + counts["S2twS2"]
+    return 4 * k - chains + cp2 + both + 1, 20 * k - chains + counts["CP2bar"] + both + 1
 
 
 def _hand_decorated(draw, c):
@@ -334,17 +358,15 @@ def _hand_nested(draw, parts, node):
 
 @st.composite
 def hand_built_grammar_trees(draw):
-    """Grammar trees from node constructors: a fiber-sum tree of 1-6 K3
-    blocks beside 0-3 S2twS2 summands, or a sum of CP2, CP2bar and S2twS2
-    blocks, nested at random, with surgeries and log transforms on any
-    node."""
-    if draw(st.booleans()):
+    """Admitted trees from node constructors: 0-3 fiber-sum trees of 1-6 K3
+    blocks beside rational blocks of any kind, one part at least, nested
+    at random, with surgeries and log transforms on any node."""
+    parts = []
+    for _ in range(draw(st.integers(0, 3))):
         k3s = [_hand_decorated(draw, Block("K3")) for _ in range(draw(st.integers(1, 6)))]
-        chain = _hand_nested(draw, k3s, lambda a, b: FiberSum(a, "A", b, "B"))
-        parts = [chain] + [Block("S2twS2")] * draw(st.integers(0, 3))
-    else:
-        kinds = st.lists(st.sampled_from(["CP2", "CP2bar", "S2twS2"]), min_size=1, max_size=8)
-        parts = [Block(kind) for kind in draw(kinds)]
+        parts.append(_hand_nested(draw, k3s, lambda a, b: FiberSum(a, "A", b, "B")))
+    kinds = st.lists(st.sampled_from(RATIONAL), min_size=0 if parts else 1, max_size=6)
+    parts += [Block(kind) for kind in draw(kinds)]
     return _hand_nested(draw, draw(st.permutations(parts)), ConnectedSum)
 
 
@@ -354,28 +376,42 @@ def test_property_normal_form_equals_block_count(tree):
     assert stable_normal_form(tree) == counted_normal_form(tree)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        chain_sums().map(lambda case: case[0]),
+        rational_sums().map(lambda case: case[0]),
+        hand_built_grammar_trees(),
+    )
+)
+def test_property_normal_form_is_the_stabilized_type(tree):
+    # The normal form of T is the b2+- of T # S2twS2, which is odd, so
+    # the counts fix its type.
+    stabilized = char_numbers(ConnectedSum(tree, Block("S2twS2")))
+    assert stable_normal_form(tree) == (stabilized.b2_plus, stabilized.b2_minus)
+    assert stabilized.parity == "odd"
+
+
 @st.composite
 def ungrammatical_trees(draw):
-    twisted = [block("S2twS2")] * draw(st.integers(0, 2))
-    chain = _k3_tree(draw, draw(st.integers(1, 3)))
-    case = draw(st.sampled_from(["two chains", "chain and block", "S2xS2", "sum in fiber sum"]))
-    if case == "two chains":
-        return _summed(draw, [chain, _k3_tree(draw, draw(st.integers(1, 3)))] + twisted)
-    if case == "chain and block":
-        kind = draw(st.sampled_from(["CP2", "CP2bar", "S2xS2"]))
-        return _summed(draw, [chain, block(kind)] + twisted)
-    if case == "S2xS2":
-        kinds = draw(st.lists(st.sampled_from(["CP2", "CP2bar", "S2twS2"]), max_size=3))
-        return _summed(draw, [block("S2xS2")] + [block(kind) for kind in kinds])
-    summed = _summed(draw, [chain, block(draw(st.sampled_from(BLOCK_NAMES)))])
+    """A connected sum, or (from node constructors) a rational block, in a
+    fiber sum with a K3 tree on either side, under decorations."""
     other = _k3_tree(draw, draw(st.integers(1, 2)))
-    return _decorated(draw, _glued(draw, *draw(st.sampled_from([(summed, other), (other, summed)]))))
+    if draw(st.booleans()):
+        chain = _k3_tree(draw, draw(st.integers(1, 3)))
+        unfit = _summed(draw, [chain, block(draw(st.sampled_from(BLOCK_NAMES)))])
+        pair = draw(st.sampled_from([(unfit, other), (other, unfit)]))
+        return _decorated(draw, _glued(draw, *pair))
+    # Only a hand-built node can put a rational block in a fiber sum.
+    unfit = _hand_decorated(draw, Block(draw(st.sampled_from(RATIONAL))))
+    left, right = draw(st.sampled_from([(unfit, other), (other, unfit)]))
+    return _hand_decorated(draw, FiberSum(left, "A", right, "B"))
 
 
 @settings(max_examples=60, deadline=None)
 @given(ungrammatical_trees())
 def test_property_normal_form_rejects_outside_grammar(tree):
-    with pytest.raises(UnsupportedNode, match="outside the stabilization grammar"):
+    with pytest.raises(UnsupportedNode, match="outside the stabilization grammar: a .* inside a fiber sum"):
         stable_normal_form(tree)
 
 
@@ -550,6 +586,22 @@ def test_family_report_refuses_log_transform_member(logt):
         family_report(members)
     assert str(got.value) == str(expected.value)
     assert str(got.value) == "no gluing formula for a null log transform at torus 'T[1,2]'"
+
+
+def test_family_report_checks_the_grammar_only_in_pairs():
+    # A core outside the grammar is read unless its member is in a
+    # homotopy equivalent pair; then the report refuses it, as
+    # stable_normal_form does.
+    unfit = fiber_sum(connected_sum(block("K3"), block("CP2")), "T1", block("K3"), "T1")
+    members = [unfit, fiber_sum_chain(1)]
+    assert family_report(members) == reference_family_report(members)
+    assert family_report(members)["pairwise"][0]["one_stab"] is False
+    for members in ([unfit, unfit], [fiber_sum_chain(2), fiber_sum_chain(2), unfit, unfit]):
+        with pytest.raises(UnsupportedNode) as got:
+            family_report(members)
+        assert str(got.value) == (
+            "outside the stabilization grammar: a connected sum inside a fiber sum"
+        )
 
 
 def test_family_report_computes_each_braid_once(monkeypatch):

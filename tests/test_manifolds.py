@@ -319,8 +319,8 @@ def test_deep_chain_from_node_constructors():
     for kind in ["CP2", "CP2bar", "S2twS2"] * (n // 3):
         rational = ConnectedSum(rational, block(kind))
     assert char_numbers(rational).parity == "odd"
-    assert stable_normal_form(rational) == (2 * (n // 3) + 1, 2 * (n // 3) + 1)
-    assert stable_normal_form(ConnectedSum(chain, block("S2twS2"))) == (4 * n, 20 * n)
+    assert stable_normal_form(rational) == (2 * (n // 3) + 2, 2 * (n // 3) + 2)
+    assert stable_normal_form(ConnectedSum(chain, block("S2twS2"))) == (4 * n + 1, 20 * n + 1)
     assert not homotopy_equivalent(chain, rational)
     # Every walk is the one iterative fold: no RecursionError at any depth.
     free = available_tori(chain)
