@@ -21,8 +21,8 @@ surgery and logt for the parser and the writer alike.  A "tori" entry may
 not be empty, hold whitespace or any of + - * ( ) ^, since the series
 text writes torus names bare, or repeat another entry.  Each domain error
 exits with its class's exit_code (errors.py) and one stderr line, with
-file and slot names JSON-quoted and a builder's refusal prefixed by its
-node's path (a "Y" braid's by its slot's): parse errors, which carry a
+file and slot names JSON-quoted and a node's refusal (its builder's)
+prefixed by its path (a "Y" braid's by its slot's): parse errors, which carry a
 path into the document (a chain of fewer than one block or a "mid" list
 of the wrong length among them), files that are not UTF-8 JSON or nest
 deeper than the JSON decoder reads, and documents or trees over
@@ -71,13 +71,13 @@ from .manifolds import (
     NullLogTransform,
     block,
     char_numbers,
-    connected_sum,
-    fiber_sum,
+    disambiguate,
     fiber_sum_chain,
     fold,
-    knot_surgery,
-    null_log_transform,
+    require_knot,
     surgered_chain,
+    torus_records,
+    unavailable,
 )
 from .ring import FactoredSeries, block_text, product_terms
 from .swseries import SWReport, factored_report, require_term_budget, sw_factors
@@ -85,8 +85,9 @@ from .swseries import SWReport, factored_report, require_term_budget, sw_factors
 EXIT_OK = 0
 
 # Deepest tree a document may nest or {"XN": N} (N levels), {"Y": ...} (2N + 2)
-# or family --N (N plus slots) may build.  A cost cap: builders walk their
-# inputs, so building is quadratic in depth; {"XN": 800} takes about 5 s.
+# or family --N (N plus slots) may build.  A cost cap: a document is read in
+# one pass, but the chain builders walk their inputs at each step, so an XN or
+# Y chain builds in time quadratic in its depth; {"XN": 800} takes about 3 s.
 DEPTH_LIMIT = 800
 
 
@@ -108,52 +109,44 @@ def parse_braid_doc(doc, path: str) -> BraidWord:
 
 
 # The primitive node forms for parse_construction and construction_to_doc:
-# document key -> (node class, builder name, {document field: node
-# attribute} in the builder's argument order).  The builder is looked up by
-# name at each call, so a wrapper set on cli.fiber_sum sees every call.
+# document key -> (node class, {document field: node attribute} in the
+# class's field order).
 FORMS = {
-    "fsum": (FiberSum, "fiber_sum",
-             {"left": "left", "lt": "left_torus", "right": "right", "rt": "right_torus"}),
-    "surgery": (KnotSurgery, "knot_surgery", {"on": "child", "torus": "torus", "braid": "braid"}),
-    "logt": (NullLogTransform, "null_log_transform", {"on": "child", "torus": "torus"}),
+    "fsum": (FiberSum, {"left": "left", "lt": "left_torus", "right": "right", "rt": "right_torus"}),
+    "surgery": (KnotSurgery, {"on": "child", "torus": "torus", "braid": "braid"}),
+    "logt": (NullLogTransform, {"on": "child", "torus": "torus"}),
 }
 
 
 def parse_construction(doc, path: str = "$", depth: int = 1) -> Construction:
-    """The tree of a document whose root is at depth.  A node deeper than
-    DEPTH_LIMIT is refused unread, which bounds this descent; a builder's
-    CalculusError is re-raised as its class with the node's path in front."""
+    """The tree of a document whose root is at depth, read in one
+    bottom-up pass (_read).  A node deeper than DEPTH_LIMIT is refused
+    unread, which bounds this descent; a node's refusal (CalculusError)
+    has the node's path in front."""
+    return _read(doc, path, depth)[0]
+
+
+def _read(doc, path: str, depth: int):
+    """(tree, names, available) of a document: its tree and two mutable
+    sets, all of its torus names and its available ones, which its parent
+    merges into its own.  Each node is the tree its builder would build,
+    and is refused as its builder would refuse it, but the builder's
+    checks are made on its kids' sets, not on walks of its kids.  An XN
+    or Y node calls its chain builder and passes up None for its sets
+    (see _sets)."""
     _require_depth(depth, path)
     if not isinstance(doc, dict):
         raise DocumentError(f"{path}: expected an object with exactly one node key")
     if "block" in doc and set(doc) <= {"block", "tori"}:
-        value = doc["block"]
-        if not isinstance(value, str):
-            raise DocumentError(f"{path}.block: expected a block name")
-        try:
-            leaf = block(value)
-        except UnknownBlock as exc:
-            raise DocumentError(f"{path}.block: {exc}") from exc
-        if "tori" in doc:
-            tori = doc["tori"]
-            if not isinstance(tori, list) or not all(isinstance(t, str) for t in tori):
-                raise DocumentError(f"{path}.tori: expected a list of torus names")
-            try:
-                named = Block(value, tuple(tori))
-            except BadParameter as exc:
-                raise DocumentError(f"{path}.{exc}") from exc
-            if len(tori) != len(leaf.tori):
-                raise DocumentError(
-                    f"{path}.tori: {value} carries {len(leaf.tori)} tori"
-                )
-            leaf = named
-        return leaf
+        leaf = _read_block(doc, path)
+        return leaf, set(leaf.tori), set(leaf.tori)
     if len(doc) != 1:
         raise DocumentError(f"{path}: expected an object with exactly one node key")
     key, value = next(iter(doc.items()))
     where = f"{path}.{key}"
+    kids = []  # the (tree, names, available) of each subtree, in order
     if key in FORMS:
-        _, builder, fields = FORMS[key]
+        make, fields = FORMS[key]
         if not isinstance(value, dict) or value.keys() != fields.keys():
             raise DocumentError(f"{where}: expected keys {sorted(fields)}")
         args = []
@@ -165,19 +158,20 @@ def parse_construction(doc, path: str = "$", depth: int = 1) -> Construction:
                 if not isinstance(arg, str):
                     raise DocumentError(f"{at}: expected a string")
             else:
-                arg = parse_construction(arg, at, depth + 1)
+                kids.append(_read(arg, at, depth + 1))
+                arg = kids[-1][0]
             args.append(arg)
     elif key == "csum":
         if not isinstance(value, list) or len(value) != 2:
             raise DocumentError(f"{where}: expected [left, right]")
-        builder = "connected_sum"
-        args = [parse_construction(value[0], f"{where}[0]", depth + 1),
-                parse_construction(value[1], f"{where}[1]", depth + 1)]
+        make, args = ConnectedSum, ()
+        kids = [_read(value[0], f"{where}[0]", depth + 1),
+                _read(value[1], f"{where}[1]", depth + 1)]
     elif key == "XN":
         if not _is_int(value):
             raise DocumentError(f"{where}: expected an integer")
         _require_depth(value, where, value)
-        builder, args = "fiber_sum_chain", [value]
+        make, args = fiber_sum_chain, [value]
     elif key == "Y":
         keys = {"N", "mid", "first", "last"}
         if not isinstance(value, dict) or value.keys() != keys:
@@ -196,13 +190,87 @@ def parse_construction(doc, path: str = "$", depth: int = 1) -> Construction:
         for at, braid in zip(paths, braids):  # each knot at its own path
             if closure_components(braid) != 1:
                 raise NotAKnot(f"{at}: closure of {braid} is not a knot")
-        builder, args = "surgered_chain", [n, braids[:n], *braids[n:]]
+        make, args = surgered_chain, [n, braids[:n], *braids[n:]]
     else:
         raise DocumentError(f"{path}: unknown node key {key!r}")
     try:
-        return globals()[builder](*args)
+        return _node(make, args, kids) if kids else (make(*args), None, None)
     except CalculusError as exc:
         raise type(exc)(f"{where}: {exc}") from exc
+
+
+def _node(cls, args, kids):
+    """(tree, names, available) of a cls node with fields args over its
+    kids' (tree, names, available).  The node's builder's checks and
+    renaming are made on the kids' sets, which are merged small-to-large,
+    so a document of n nodes is read in O(n log n) set operations besides
+    the renaming of right sides whose names clash."""
+    a, names, available = _sets(*kids[0])
+    if cls is not ConnectedSum:
+        torus = args[1]
+        if torus not in available:
+            raise unavailable(torus, "left " if cls is FiberSum else "")
+        if cls is KnotSurgery:
+            require_knot(args[2])
+        if cls is not FiberSum:
+            return cls(*args), names, available
+    b, b_names, b_available = _sets(*kids[1])
+    if cls is FiberSum and args[3] not in b_available:
+        raise unavailable(args[3], "right ")
+    b, prefix = disambiguate(names, b, b_names)
+    if prefix:
+        b_names = {prefix + name for name in b_names}
+        b_available = {prefix + name for name in b_available}
+    names, available = _union(names, b_names), _union(available, b_available)
+    if cls is ConnectedSum:
+        return ConnectedSum(a, b), names, available
+    rt = prefix + args[3]
+    available -= {args[1], rt}
+    return FiberSum(a, args[1], b, rt), names, available
+
+
+def _sets(tree, names, available):
+    """A kid's (tree, names, available), with the sets of an XN or Y
+    chain read off one torus_records walk."""
+    if names is None:
+        records = torus_records(tree)
+        names = set(records)
+        available = {name for name, rec in records.items() if rec.status == "available"}
+    return tree, names, available
+
+
+def _union(a: set, b: set) -> set:
+    """a | b, made by adding the smaller set into the larger."""
+    if len(a) < len(b):
+        a, b = b, a
+    a |= b
+    return a
+
+
+def _read_block(doc: dict, path: str) -> Block:
+    """The block of a {"block": KIND} or {"block": KIND, "tori": [...]}
+    document."""
+    value = doc["block"]
+    if not isinstance(value, str):
+        raise DocumentError(f"{path}.block: expected a block name")
+    try:
+        leaf = block(value)
+    except UnknownBlock as exc:
+        raise DocumentError(f"{path}.block: {exc}") from exc
+    if "tori" in doc:
+        tori = doc["tori"]
+        if not isinstance(tori, list) or not all(isinstance(t, str) for t in tori):
+            raise DocumentError(f"{path}.tori: expected a list of torus names")
+        try:
+            named = Block(value, tuple(tori))
+        except BadParameter as exc:
+            raise DocumentError(f"{path}.{exc}") from exc
+        if len(tori) != len(leaf.tori):
+            raise DocumentError(
+                f"{path}.tori: {value} carries {len(leaf.tori)} tori"
+            )
+        leaf = named
+    return leaf
 
 
 def _require_depth(depth: int, where: str, blocks: int = 1) -> None:
@@ -239,7 +307,7 @@ def _node_doc(node: Construction, docs: list) -> dict:
     if isinstance(node, ConnectedSum):
         return {"csum": docs}
     docs = iter(docs)
-    for key, (cls, _, fields) in FORMS.items():
+    for key, (cls, fields) in FORMS.items():
         if isinstance(node, cls):
             return {key: {f: _field_doc(getattr(node, attr), docs) for f, attr in fields.items()}}
 

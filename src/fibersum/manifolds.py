@@ -203,22 +203,40 @@ def _rename_tori(c: Construction, prefix: str) -> Construction:
     return fold(c, visit)
 
 
-def _disambiguate(a: Construction, b: Construction):
-    """Prefix the right subtree's torus names until they clash with
-    nothing on the left.  Returns (new_b, renamer)."""
-    left_names = set(torus_records(a))
+def disambiguate(left_names, b: Construction, b_names) -> tuple[Construction, str]:
+    """(b renamed, prefix) by the rule that keeps torus names unique: b,
+    the right side of a sum, takes "R:" before every torus name, as many
+    times as it takes for none of b_names to clash with left_names, and
+    is renamed once, if at all.  The names are collections, such as sets;
+    each try costs the smaller one's size."""
     prefix = ""
-    while not left_names.isdisjoint(torus_records(b)):
-        b = _rename_tori(b, "R:")
+    while (
+        any(prefix + name in left_names for name in b_names)
+        if len(b_names) <= len(left_names)
+        else any(name[len(prefix):] in b_names for name in left_names if name.startswith(prefix))
+    ):
         prefix = "R:" + prefix
-    return b, (lambda name: prefix + name)
+    return (_rename_tori(b, prefix) if prefix else b), prefix
+
+
+def unavailable(torus: str, side: str = "") -> TorusUnavailable:
+    """The refusal of a torus that is not an available torus; side is
+    "left " or "right " for a fiber sum's tori."""
+    return TorusUnavailable(f"{side}torus {torus!r} is not available")
+
+
+def require_knot(braid: BraidWord) -> None:
+    """Knot surgery's check on its braid: its closure must be a knot."""
+    if closure_components(braid) != 1:
+        raise NotAKnot(f"closure of {braid} is not a knot")
 
 
 def _require_available(c: Construction, torus: str, side: str = "") -> None:
-    """Raise TorusUnavailable unless torus is an available torus of c."""
+    """Raise unavailable(torus, side) unless torus is an available torus
+    of c."""
     rec = torus_records(c).get(torus)
     if rec is None or rec.status != "available":
-        raise TorusUnavailable(f"{side}torus {torus!r} is not available")
+        raise unavailable(torus, side)
 
 
 # ------------------------------------------------------------- operations
@@ -227,7 +245,7 @@ def _require_available(c: Construction, torus: str, side: str = "") -> None:
 def connected_sum(a: Construction, b: Construction) -> ConnectedSum:
     """Connected sum; all tori of both sides stay available.  Torus name
     clashes are resolved by prefixing the right subtree."""
-    b, _ = _disambiguate(a, b)
+    b, _ = disambiguate(torus_records(a), b, torus_records(b))
     return ConnectedSum(a, b)
 
 
@@ -240,8 +258,8 @@ def fiber_sum(a: Construction, a_torus: str, b: Construction, b_torus: str) -> F
     """
     _require_available(a, a_torus, "left ")
     _require_available(b, b_torus, "right ")
-    b, rename = _disambiguate(a, b)
-    return FiberSum(a, a_torus, b, rename(b_torus))
+    b, prefix = disambiguate(torus_records(a), b, torus_records(b))
+    return FiberSum(a, a_torus, b, prefix + b_torus)
 
 
 def knot_surgery(a: Construction, torus: str, braid: BraidWord) -> KnotSurgery:
@@ -254,8 +272,7 @@ def knot_surgery(a: Construction, torus: str, braid: BraidWord) -> KnotSurgery:
     and the torus stays available (repeated surgery is permitted).
     """
     _require_available(a, torus)
-    if closure_components(braid) != 1:
-        raise NotAKnot(f"closure of {braid} is not a knot")
+    require_knot(braid)
     return KnotSurgery(a, torus, braid)
 
 

@@ -175,3 +175,14 @@ def seeded_chains(seed: int, per_size: int = 2, max_n: int = 4) -> list:
             knots = [rng.choice(CHAIN_KNOTS) for _ in range(n + 2)]
             out.append(surgered_chain(n, knots[:n], knots[n], knots[n + 1]))
     return out
+
+
+def nested_fsum_chain(levels: int) -> dict:
+    """A chain of levels - 1 nested fsum nodes over K3 blocks, built in
+    process, so no JSON decoder limits its depth: levels tree levels."""
+    doc = {"block": "K3", "tori": ["T[1,1]", "T[1,2]", "T[1,3]"]}
+    for alpha in range(1, levels):
+        right = {"block": "K3", "tori": [f"T[{alpha + 1},{i}]" for i in (1, 2, 3)]}
+        doc = {"fsum": {"left": doc, "lt": f"T[{alpha},3]", "right": right,
+                        "rt": f"T[{alpha + 1},1]"}}
+    return doc

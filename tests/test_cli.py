@@ -16,7 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import CHAIN_KNOTS, rational_chain, refused_sw_trees, seeded_chains, sw_trees
+from builder_oracle import oracle_parse
+from corpus import (
+    CHAIN_KNOTS,
+    nested_fsum_chain,
+    rational_chain,
+    refused_sw_trees,
+    seeded_chains,
+    sw_trees,
+)
 from dense_oracle import dense_sw_stdout, dense_text
 from fibersum import (
     BraidWord,
@@ -145,7 +153,7 @@ LINK_BRAID = {"strands": 2, "word": [1, 1]}
          TorusUnavailable, 5, "$.fsum: left torus 'T9' is not available"),
         ({"fsum": {"left": {"XN": 1}, "lt": "T[1,1]", "right": {"block": "K3"}, "rt": "T9"}},
          TorusUnavailable, 5, "$.fsum: right torus 'T9' is not available"),
-        # The right side's names clash with the left's, so the builder
+        # The right side's names clash with the left's, so the reader
         # renames them, but the refusal names the torus the document wrote.
         ({"fsum": {"left": {"block": "K3"}, "lt": "T1", "right": {"block": "K3"}, "rt": "T9"}},
          TorusUnavailable, 5, "$.fsum: right torus 'T9' is not available"),
@@ -181,10 +189,10 @@ def test_builder_refusal_names_its_node(tmp_path, capsys, doc, cls, code, err):
 
 def test_builders_are_looked_up_at_call_time(monkeypatch):
     # A wrapper set on the cli module's attribute, as a tracer sets one,
-    # sees every builder call the parser makes.
+    # sees every chain the parser builds, once.  The reader builds every
+    # other node itself, with no builder call.
     calls = Counter()
-    names = ("fiber_sum", "knot_surgery", "null_log_transform", "connected_sum",
-             "fiber_sum_chain", "surgered_chain")
+    names = ("fiber_sum_chain", "surgered_chain")
     for name in names:
         def counting(*args, name=name, builder=getattr(cli, name)):
             calls[name] += 1
@@ -919,23 +927,12 @@ def test_too_deep_tree_exit_2(tmp_path, capsys, text, err):
     assert re.fullmatch(f"error: ({err})\n", captured.err)
 
 
-def _nested_fsum_chain(levels: int) -> dict:
-    """A chain of levels - 1 nested fsum nodes over K3 blocks, built in
-    process, so no JSON decoder limits its depth: levels tree levels."""
-    doc = {"block": "K3", "tori": ["T[1,1]", "T[1,2]", "T[1,3]"]}
-    for alpha in range(1, levels):
-        right = {"block": "K3", "tori": [f"T[{alpha + 1},{i}]" for i in (1, 2, 3)]}
-        doc = {"fsum": {"left": doc, "lt": f"T[{alpha},3]", "right": right,
-                        "rt": f"T[{alpha + 1},1]"}}
-    return doc
-
-
 def test_document_depth_limit_on_every_python():
     # The parser counts the document's own nesting and refuses the first
     # node past DEPTH_LIMIT before it reads that node, whatever the
     # interpreter's recursion limit.  Documents built in process meet no
-    # JSON decoder.  800 levels of unknot surgeries build in well under a
-    # second (an fsum chain as deep takes seconds).
+    # JSON decoder.  800 levels of unknot surgeries, or of fiber sums,
+    # read in well under a second: a document is read in one pass.
     doc = {"block": "K3"}
     for _ in range(DEPTH_LIMIT - 1):
         doc = {"surgery": {"on": doc, "torus": "T1", "braid": UNKNOT_BRAID}}
@@ -948,7 +945,7 @@ def test_document_depth_limit_on_every_python():
     path = "$.logt.on" + ".surgery.on" * (DEPTH_LIMIT - 1)
     assert str(info.value) == f"{path}: tree depth 801 is over the limit 800"
     with pytest.raises(DocumentError) as info:
-        parse_construction(_nested_fsum_chain(DEPTH_LIMIT + 1))
+        parse_construction(nested_fsum_chain(DEPTH_LIMIT + 1))
     path = "$" + ".fsum.left" * DEPTH_LIMIT
     assert str(info.value) == f"{path}: tree depth 801 is over the limit 800"
     # Counted from the document's root, through any node kind.
@@ -1118,3 +1115,67 @@ def test_property_parse_refusals_name_their_node(doc):
         parse_construction(doc)
     except CalculusError as exc:
         assert str(exc).startswith("$"), str(exc)
+
+
+def _read_outcome(read, doc):
+    """The tree read reads from doc, or the (class, text) of its refusal."""
+    try:
+        return read(doc)
+    except CalculusError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grammar_docs)
+def test_property_reader_matches_builder_oracle(doc):
+    # The one-pass reader builds the tree the builders build, and refuses
+    # what they refuse, with the same class and text.
+    assert _read_outcome(parse_construction, doc) == _read_outcome(oracle_parse, doc)
+
+
+def _csum_chain(n: int, left_deep: bool) -> dict:
+    """n default-named K3 blocks summed to the left or to the right: each
+    sum's right side clashes with its left side and takes R: prefixes."""
+    doc = {"block": "K3"}
+    for _ in range(1, n):
+        pair = [doc, {"block": "K3"}] if left_deep else [{"block": "K3"}, doc]
+        doc = {"csum": pair}
+    return doc
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 40])
+@pytest.mark.parametrize("left_deep", [True, False], ids=["left-deep", "right-deep"])
+def test_reader_matches_builder_oracle_on_csum_chains(n, left_deep):
+    doc = _csum_chain(n, left_deep)
+    assert parse_construction(doc) == oracle_parse(doc)
+    # A surgery on the most-prefixed torus, and one on a name with one
+    # prefix more, which no block carries.
+    for torus in ("R:" * (n - 1) + "T2", "R:" * n + "T2"):
+        on = {"surgery": {"on": doc, "torus": torus, "braid": TREFOIL_BRAID}}
+        assert _read_outcome(parse_construction, on) == _read_outcome(oracle_parse, on)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # The glued right torus is consumed under its new name.
+        {"surgery": {"on": {"fsum": {"left": {"block": "K3"}, "lt": "T1",
+                                     "right": {"block": "K3"}, "rt": "T2"}},
+                     "torus": "R:T2", "braid": TREFOIL_BRAID}},
+        # A left side smaller than the right, with a name that ends in a
+        # right name but does not start with the prefix tried.
+        {"csum": [{"block": "K3", "tori": ["T1", "XXT2", "Z"]},
+                  {"csum": [{"block": "K3"}, {"block": "K3"}]}]},
+    ],
+    ids=["consumed-renamed", "smaller-left"],
+)
+def test_reader_matches_builder_oracle_at_renames(doc):
+    assert _read_outcome(parse_construction, doc) == _read_outcome(oracle_parse, doc)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 50, 250])
+def test_reader_matches_builder_oracle_on_fsum_chains(levels):
+    doc = nested_fsum_chain(levels)
+    assert parse_construction(doc) == oracle_parse(doc)
+    consumed = {"surgery": {"on": doc, "torus": "T[1,3]", "braid": TREFOIL_BRAID}}
+    assert _read_outcome(parse_construction, consumed) == _read_outcome(oracle_parse, consumed)

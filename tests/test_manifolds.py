@@ -113,6 +113,15 @@ def test_connected_sum_self_disambiguates():
     assert len(set(names)) == 6
 
 
+def test_right_side_takes_the_shortest_clash_free_prefix():
+    # "R:" is repeated until no right name clashes with a left name,
+    # whichever side has fewer names.
+    three = Block("K3", ("T1", "XXT2", "Z"))
+    pair = connected_sum(block("K3"), block("K3"))  # T1..T3 and R:T1..R:T3
+    assert connected_sum(three, pair).right.left.tori == ("R:T1", "R:T2", "R:T3")
+    assert connected_sum(pair, three).right.tori == ("R:R:T1", "R:R:XXT2", "R:R:Z")
+
+
 def test_connected_sum_cp2_pair():
     cn = char_numbers(connected_sum(block("CP2"), block("CP2bar")))
     assert (cn.chi, cn.sigma, cn.parity) == (4, 0, "odd")
