@@ -13,18 +13,15 @@ from fibersum import (
     BraidWord,
     FactoredSeries,
     LaurentPoly,
-    basic_classes,
     block,
     char_numbers,
     check_conjugation_symmetry,
     connected_sum,
+    factored_report,
     fiber_sum_chain,
     fingerprint,
     knot_surgery,
     sw_factors,
-    sw_first_power_formula,
-    sw_report,
-    sw_series,
     surgered_chain,
 )
 
@@ -32,20 +29,20 @@ trefoil = BraidWord(2, (1, 1, 1))
 fig8 = BraidWord(3, (1, -2, 1, -2))
 unknot = BraidWord(1, ())
 
-print("SW(K3)                =", sw_series(block("K3")))
-print("SW(chain of 2)        =", sw_series(fiber_sum_chain(2)))
-print("SW(chain of 3)        =", sw_series(fiber_sum_chain(3)))
+print("SW(K3)                =", sw_factors(block("K3")))
+print("SW(chain of 2)        =", sw_factors(fiber_sum_chain(2)))
+print("SW(chain of 3)        =", sw_factors(fiber_sum_chain(3)))
 
 surgered = knot_surgery(block("K3"), "T2", trefoil)
-print("SW(K3 + trefoil @ T2) =", sw_series(surgered))
+print("SW(K3 + trefoil @ T2) =", sw_factors(surgered))
 
 # One trefoil and one figure-eight on the chain of two.
 y = surgered_chain(2, [trefoil, fig8], unknot, unknot)
-series = sw_series(y)
+series = sw_factors(y)
 print("\nSW of a surgered chain (N=2, trefoil and figure-eight):")
 print(" ", series)
 
-report = basic_classes(series, char_numbers(y))
+report = factored_report(series, char_numbers(y))
 print("  a0 =", report.a0)
 print("  basic classes:", report.count, "| rank:", report.rank,
       "| coefficient runs (|coeff|, pairs):", list(report.coeff_runs))
@@ -72,19 +69,20 @@ print("  coefficient runs (|coeff|, pairs):", list(fp.coeff_runs))
 
 # Stabilizing kills the invariant: the series of X # S2twS2 is zero.
 stabilized = connected_sum(y, block("S2twS2"))
-print("\nSW after one stabilization =", sw_series(stabilized))
+print("\nSW after one stabilization =", sw_factors(stabilized))
 
 # Two conventions for the fiber-sum factor exist: the engine squares it
-# (iterating the gluing rule forces that); the first-power closed form is
-# also implemented, as factors.  Their exact ratio is the product of the
-# bare factors t - t^-1 at t = exp(T[alpha,3]).
+# (iterating the gluing rule forces that); the closed form often quoted
+# takes it to the first power.  On a chain of unknots that form is the
+# product of the bare factors t - t^-1 at t = exp(T[alpha,3]), and the
+# exact ratio between the two is that same product again.
 n = 3
 unknots = [unknot] * n
-engine = sw_series(surgered_chain(n, unknots, unknot, unknot))
-printed = sw_first_power_formula(n, unknots, unknot, unknot)
-ratio = FactoredSeries.one()
-for alpha in range(1, n):
-    ratio = ratio.times(f"T[{alpha},3]", LaurentPoly({1: 1, -1: -1}))
+engine = sw_factors(surgered_chain(n, unknots, unknot, unknot))
+bare = LaurentPoly({1: 1, -1: -1})
+printed = FactoredSeries({f"T[{alpha},3]": bare for alpha in range(1, n)})
+ratio = printed
+assert engine == printed * ratio
 print("\nengine (N=3, unknots)      =", engine)
 print("first-power formula        =", printed)
 print("engine == formula * ratio  :", engine == printed * ratio)

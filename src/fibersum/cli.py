@@ -49,7 +49,6 @@ from .errors import (
     BadParameter,
     CalculusError,
     DocumentError,
-    NotAKnot,
     UnknownBlock,
 )
 from .families import (
@@ -61,7 +60,7 @@ from .families import (
     one_stabilization_equivalent,
     stable_normal_form,
 )
-from .knots import BraidWord, alexander, closure_components
+from .knots import BraidWord, alexander
 from .manifolds import (
     Block,
     ConnectedSum,
@@ -188,8 +187,7 @@ def _read(doc, path: str, depth: int):
         paths = [f"{where}.mid[{i}]" for i in range(n)] + [f"{where}.first", f"{where}.last"]
         braids = [parse_braid_doc(b, at) for b, at in zip(docs, paths)]
         for at, braid in zip(paths, braids):  # each knot at its own path
-            if closure_components(braid) != 1:
-                raise NotAKnot(f"{at}: closure of {braid} is not a knot")
+            require_knot(braid, f"{at}: ")
         make, args = surgered_chain, [n, braids[:n], *braids[n:]]
     else:
         raise DocumentError(f"{path}: unknown node key {key!r}")

@@ -26,8 +26,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import FamilyTooLarge, NotAKnot, TorusUnavailable, UnsupportedNode
-from .knots import BraidWord, closure_components
+from .errors import FamilyTooLarge, TorusUnavailable, UnsupportedNode
+from .knots import BraidWord
 from .manifolds import (
     Block,
     ConnectedSum,
@@ -38,6 +38,7 @@ from .manifolds import (
     char_numbers,
     fiber_sum_chain,
     fold,
+    require_knot,
 )
 from .swseries import (
     SWReport,
@@ -106,8 +107,7 @@ def family_generate(
             raise TorusUnavailable(f"{name!r} is not an available torus of the chain")
     for name, braids in slots.items():
         for braid in braids:
-            if closure_components(braid) != 1:
-                raise NotAKnot(f"slot {name!r}: closure of {braid} is not a knot")
+            require_knot(braid, f"slot {name!r}: ")
     names = sorted(slots)
     members = []
     for choice in itertools.product(*(slots[name] for name in names)):

@@ -1,18 +1,14 @@
 """Fraction-free linear algebra over exact rings.
 
-Two primitives, both over Python integers with no floating point:
-
-* ``laurent_det`` computes the determinant of a square matrix of Laurent
-  polynomials by Kronecker substitution.  Each row is shifted to
-  nonnegative exponents, every entry is evaluated at t = 2^B, one integer
-  Bareiss determinant is taken, and the coefficients are read back as
-  signed base-2^B digits.  B comes from a Hadamard-type bound on the
-  coefficients of the determinant, so the digits never overlap.  The
-  Bareiss elimination is lazy: a row whose leading entry is 0 is not
-  touched until it is used, so on a banded matrix the cost follows the
-  band, not the full size.
-* ``integer_rank`` computes the rank of an integer matrix by fraction-free
-  forward elimination.
+``laurent_det`` computes the determinant of a square matrix of Laurent
+polynomials over Python integers, with no floating point, by Kronecker
+substitution.  Each row is shifted to nonnegative exponents, every entry
+is evaluated at t = 2^B, one integer Bareiss determinant is taken, and
+the coefficients are read back as signed base-2^B digits.  B comes from
+a Hadamard-type bound on the coefficients of the determinant, so the
+digits never overlap.  The Bareiss elimination is lazy: a row whose
+leading entry is 0 is not touched until it is used, so on a banded
+matrix the cost follows the band, not the full size.
 """
 
 from __future__ import annotations
@@ -119,33 +115,3 @@ def _integer_det(a) -> int:
                 bases[i] = pivot
         prev = pivot
     return sign * prev
-
-
-def integer_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free Gaussian elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(m)):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, len(m)):
-            factor = m[i][col]
-            for j in range(ncols):
-                # Bareiss step: division by the previous pivot is exact.
-                m[i][j] = (pivot * m[i][j] - factor * m[rank][j]) // prev
-        prev = pivot
-        rank += 1
-        if rank == len(m):
-            break
-    return rank

@@ -225,10 +225,11 @@ def unavailable(torus: str, side: str = "") -> TorusUnavailable:
     return TorusUnavailable(f"{side}torus {torus!r} is not available")
 
 
-def require_knot(braid: BraidWord) -> None:
-    """Knot surgery's check on its braid: its closure must be a knot."""
+def require_knot(braid: BraidWord, where: str = "") -> None:
+    """Knot surgery's check on its braid: its closure must be a knot.
+    where, such as "slot 'T1': ", goes in front of the refusal's text."""
     if closure_components(braid) != 1:
-        raise NotAKnot(f"closure of {braid} is not a knot")
+        raise NotAKnot(f"{where}closure of {braid} is not a knot")
 
 
 def _require_available(c: Construction, torus: str, side: str = "") -> None:

@@ -9,8 +9,8 @@ a polynomial in a single class, so the series is kept as a
 FactoredSeries, one Laurent polynomial per class, and the report is read
 off the factors: its |coefficient| multiset is kept as runs of
 (value, pairs), convolved factor by factor, and its symmetry is checked
-per factor.  ``sw_series`` expands the series on request, and
-``basic_classes`` reads a report off a dense series, as a reference.
+per factor.  The series is expanded only on request
+(``sw_factors(c).expand()``).
 Connected sums are supported only in the vanishing case (both summands
 with positive b2+), where the series is 0; anything needing a blow-up
 formula is refused, as is a rational block outside a vanishing sum (no
@@ -20,10 +20,8 @@ move.
 
 The fiber-sum factor is applied squared, which is what iterating the
 gluing rule forces.  A widely quoted closed form uses the same product
-with first powers; ``sw_first_power_formula`` gives that variant, as a
-FactoredSeries, so the exact ratio between the two conventions can be
-machine-checked (see tests/test_acceptance.py, documented-discrepancy
-criterion).
+with first powers; the two differ by exactly one factor t - t^-1 per
+gluing (see tests/test_acceptance.py, documented-discrepancy criterion).
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from .errors import (
     UnsupportedSum,
 )
 from .knots import BraidWord, alexander
-from .linalg import integer_rank
 from .manifolds import (
     Block,
     CharNumbers,
@@ -53,7 +50,7 @@ from .manifolds import (
     char_numbers,
     fold,
 )
-from .ring import FactoredSeries, GroupRingElt, LaurentPoly
+from .ring import FactoredSeries, LaurentPoly
 
 # t - t^-1 at t = exp(T): the fiber-sum factor before squaring.
 FIBER_POLY = LaurentPoly({1: 1, -1: -1})
@@ -127,36 +124,6 @@ def require_term_budget(series: FactoredSeries) -> None:
         )
 
 
-def sw_series(c: Construction) -> GroupRingElt:
-    """Seiberg-Witten series of a construction as an exact group ring
-    element over the torus-class lattice (the expanded ``sw_factors``)."""
-    return sw_factors(c).expand()
-
-
-def sw_first_power_formula(
-    n: int,
-    mid: list[BraidWord],
-    first: BraidWord,
-    last: BraidWord,
-) -> FactoredSeries:
-    """Closed-form product for the series of surgered_chain(n, ...), with
-    the fiber-sum factors to the FIRST power, one factor per class.
-
-    This is the other convention in circulation for the same family; the
-    engine squares those factors.  Both are exposed so the
-    discrepancy is testable rather than hidden: the engine's output equals
-    this one times prod_(alpha<n) (exp(T[alpha,3]) - exp(-T[alpha,3])).
-    """
-    if len(mid) != n:
-        raise ValueError(f"expected {n} middle knots, got {len(mid)}")
-    factors = {f"T[{alpha},3]": FIBER_POLY for alpha in range(1, n)}
-    for alpha, braid in enumerate(mid, start=1):
-        factors[f"T[{alpha},2]"] = _surgery_poly(braid)
-    factors["T[1,1]"] = _surgery_poly(first)
-    factors[f"T[{n},3]"] = _surgery_poly(last)
-    return FactoredSeries(factors)
-
-
 # ----------------------------------------------------------------- reports
 
 
@@ -179,15 +146,13 @@ def _factor_sign(f: LaurentPoly) -> int | None:
     return None
 
 
-def check_conjugation_symmetry(
-    series: GroupRingElt | FactoredSeries, cn: CharNumbers
-) -> bool:
+def check_conjugation_symmetry(series: FactoredSeries, cn: CharNumbers) -> bool:
     """True iff coefficient(-K) = epsilon * coefficient(K) for every
     nonzero class K, with epsilon the conjugation sign.  The zero series
     is symmetric and needs no sign.
 
-    A FactoredSeries is checked on its factors, never expanded; its
-    scalar scales both sides alike.  With two or more factors (all
+    The series is checked on its factors, never expanded; its scalar
+    scales both sides alike.  With two or more factors (all
     non-constant), each must satisfy f(t^-1) = +-f(t), and the signs must
     multiply to epsilon.  The variables are independent, so this is the
     term-by-term check: the product is (anti)symmetric in each variable
@@ -199,26 +164,17 @@ def check_conjugation_symmetry(
     if series.is_zero():
         return True
     eps = conjugation_sign(cn)
-    if isinstance(series, FactoredSeries):
-        factors = list(series.factors.values())
-        if len(factors) < 2:
-            terms = factors[0].terms if factors else {}
-            return all(terms.get(-e, 0) == eps * c for e, c in terms.items() if e)
-        sign = 1
-        for f in factors:
-            s = _factor_sign(f)
-            if s is None:
-                return False
-            sign *= s
-        return sign == eps
-    zero = (0,) * len(series.lattice)
-    for vec, coeff in series.terms.items():
-        if vec == zero:
-            continue
-        mirrored = tuple(-x for x in vec)
-        if series.terms.get(mirrored, 0) != eps * coeff:
+    factors = list(series.factors.values())
+    if len(factors) < 2:
+        terms = factors[0].terms if factors else {}
+        return all(terms.get(-e, 0) == eps * c for e, c in terms.items() if e)
+    sign = 1
+    for f in factors:
+        s = _factor_sign(f)
+        if s is None:
             return False
-    return True
+        sign *= s
+    return sign == eps
 
 
 def _expand_runs(runs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
@@ -233,10 +189,9 @@ def _expand_runs(runs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SWReport:
-    """Basic-class summary of a series.
+    """Basic-class summary of a factored series.
 
-    series is the dense series or a FactoredSeries; both print the
-    same canonical text.  count is the number of nonzero basic classes
+    series prints the canonical text of its expansion.  count is the number of nonzero basic classes
     (2 per pair +-K); rank is the rank of the integer span of the classes;
     coeff_runs is the multiset of |coefficient| over the pairs, as sorted
     (|coefficient|, number of pairs) runs, so equal multisets give equal
@@ -248,7 +203,7 @@ class SWReport:
     straight from the factors and the runs.
     """
 
-    series: GroupRingElt | FactoredSeries
+    series: FactoredSeries
     a0: int
     count: int
     rank: int
@@ -274,7 +229,7 @@ class SWReport:
         }
 
 
-def _positive_half(series: GroupRingElt | FactoredSeries, count: int, a0: int):
+def _positive_half(series: FactoredSeries, count: int, a0: int):
     """(exponent vector, coefficient) of the lexicographically positive
     class of every pair +-K, in ascending lexicographic order.  The
     support is symmetric, so these are the terms after the count // 2
@@ -282,24 +237,12 @@ def _positive_half(series: GroupRingElt | FactoredSeries, count: int, a0: int):
     return itertools.islice(series.sorted_terms(), count // 2 + (a0 != 0), None)
 
 
-def _require_symmetric(series: GroupRingElt | FactoredSeries, cn: CharNumbers):
+def _require_symmetric(series: FactoredSeries, cn: CharNumbers):
     if not check_conjugation_symmetry(series, cn):
         raise AsymmetricSeries(
             f"series fails conjugation symmetry for sign {conjugation_sign(cn)}: "
             f"{series}"
         )
-
-
-def basic_classes(series: GroupRingElt, cn: CharNumbers) -> SWReport:
-    """Read the basic classes off a conjugation-symmetric dense series:
-    the reference that factored_report is tested against."""
-    _require_symmetric(series, cn)
-    a0 = series.constant_coeff()
-    count = len(series.terms) - (a0 != 0)
-    positives = dict(_positive_half(series, count, a0))
-    rank = integer_rank([list(vec) for vec in positives])
-    runs = Counter(abs(c) for c in positives.values())
-    return SWReport(series, a0, count, rank, tuple(sorted(runs.items())))
 
 
 def factored_report(series: FactoredSeries, cn: CharNumbers) -> SWReport:

@@ -7,13 +7,14 @@ shape changes its pin to the new formula.
 
 import pytest
 
-from corpus import nested_fsum_chain
-from fibersum import fiber_sum_chain, manifolds
+from corpus import TREFOIL, nested_fsum_chain
+from fibersum import cli, fiber_sum_chain, manifolds, surgered_chain, swseries
 from fibersum.cli import parse_construction
 
 
-def _count_folds(monkeypatch) -> dict:
-    """Count manifolds.fold calls and the visits they make."""
+def _count_folds(monkeypatch, module=manifolds) -> dict:
+    """Count the fold calls made through module's name for it, and the
+    visits they make."""
     counts = {"folds": 0, "visits": 0}
     fold = manifolds.fold
 
@@ -25,7 +26,7 @@ def _count_folds(monkeypatch) -> dict:
         counts["folds"] += 1
         return fold(root, counted_visit, *args)
 
-    monkeypatch.setattr(manifolds, "fold", counted)
+    monkeypatch.setattr(module, "fold", counted)
     return counts
 
 
@@ -47,3 +48,36 @@ def test_fiber_sum_chain_fold_visits(monkeypatch, n):
     counts = _count_folds(monkeypatch)
     fiber_sum_chain(n)
     assert counts["visits"] == 2 * n * (n - 1)
+
+
+WALKS = {
+    "char_numbers": (manifolds, manifolds.char_numbers),
+    "sw_factors": (swseries, swseries.sw_factors),
+    "construction_to_doc": (cli, cli.construction_to_doc),
+}
+
+
+@pytest.mark.parametrize("walk", list(WALKS))
+@pytest.mark.parametrize("n", [25, 50, 100])
+def test_one_fold_visit_per_node(monkeypatch, walk, n):
+    # surgered_chain(n) has n blocks, n - 1 fiber sums and n + 2 surgeries:
+    # 3n + 1 nodes, each visited once by one fold.
+    c = surgered_chain(n, [TREFOIL] * n, TREFOIL, TREFOIL)
+    module, function = WALKS[walk]
+    counts = _count_folds(monkeypatch, module)
+    function(c)
+    assert counts == {"folds": 1, "visits": 3 * n + 1}
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert cli.main(["alexander", "--strands", "2", "--word", "1,1,1"]) == 0
+    assert capsys.readouterr().out == "t - 1 + t^-1\n"
+    assert len(calls) == 1
